@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-sarif lint-debt apilock race chaos chaos-serve load-smoke diffcheck cover bench bench-pipeline bench-geom bench-raster bench-serve bench-shard shard-smoke serve-smoke fuzz experiments maps clean
+.PHONY: all build test test-cores vet lint lint-sarif lint-debt apilock race chaos chaos-serve load-smoke diffcheck cover bench bench-pipeline bench-geom bench-raster bench-serve bench-shard shard-smoke serve-smoke fuzz experiments maps clean
 
 all: vet lint test build
 
@@ -13,6 +13,12 @@ build:
 # dependence surfaces in CI instead of lurking.
 test:
 	$(GO) test -shuffle=on ./...
+
+# The suite must pass at any core count, not only the host's: run it
+# pinned to one core and to four.
+test-cores:
+	GOMAXPROCS=1 $(GO) test ./...
+	GOMAXPROCS=4 $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -63,7 +69,8 @@ bench-geom:
 # Regenerate the raster-kernel baseline: the banded fill / distance /
 # dilate / contour kernels serial vs parallel at 1/2/4/8 workers, the
 # unfused per-fire union, and the fused union+distance ensemble sweep
-# (which must report 0 allocs/op warm), at full-scale CONUS dimensions.
+# (0 allocs/op warm at w1; each extra band adds a goroutine launch), at
+# full-scale CONUS dimensions.
 bench-raster:
 	$(GO) test -run '^$$' -bench 'BenchmarkRasterKernels' \
 		-benchmem -json ./internal/raster > BENCH_raster.json

@@ -31,11 +31,11 @@ func runHeadlineAnalyses(b *testing.B, s *Study) {
 func BenchmarkStudyColdWarm(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runHeadlineAnalyses(b, NewStudy(benchPipelineCfg))
+			runHeadlineAnalyses(b, mustStudy(benchPipelineCfg))
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		s := NewStudy(benchPipelineCfg)
+		s := mustStudy(benchPipelineCfg)
 		runHeadlineAnalyses(b, s) // prime every memo cell
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -49,16 +49,16 @@ func BenchmarkStudyColdWarm(b *testing.B) {
 func BenchmarkStudyBuild(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if s := NewStudy(benchPipelineCfg); s.Analyzer == nil {
+			if s := mustStudy(benchPipelineCfg); s.Analyzer == nil {
 				b.Fatal("analyzer missing")
 			}
 		}
 	})
 	b.Run("serial", func(b *testing.B) {
 		cfg := benchPipelineCfg
-		cfg.PipelineSerial = true
+		cfg.Workers = 1
 		for i := 0; i < b.N; i++ {
-			if s := NewStudy(cfg); s.Analyzer == nil {
+			if s := mustStudy(cfg); s.Analyzer == nil {
 				b.Fatal("analyzer missing")
 			}
 		}

@@ -20,11 +20,11 @@ import (
 )
 
 // chaosOptions assembles the stress-scale configuration for one chaos
-// build; serial selects the RunSerialContext path.
+// build; serial selects the one-worker schedule.
 func chaosOptions(serial bool, extra ...Option) []Option {
 	opts := []Option{WithConfig(stressCfg)}
 	if serial {
-		opts = append(opts, WithSerialPipeline())
+		opts = append(opts, WithWorkers(1))
 	}
 	return append(opts, extra...)
 }
@@ -170,7 +170,7 @@ func TestStudyChaosCleanRunIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildFaultHook = nil
-	clean := NewStudy(stressCfg)
+	clean := mustStudy(stressCfg)
 	a, b := analysisFingerprints(instrumented), analysisFingerprints(clean)
 	for name, want := range b {
 		if a[name] != want {

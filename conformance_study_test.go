@@ -15,8 +15,8 @@ import (
 )
 
 // TestSeedDeterminismRepeatedBuilds builds the same seed three times
-// through NewStudyWithOptions — alternating the parallel pipeline and
-// the serial escape hatch — and requires byte-identical rendered report
+// through NewStudyWithOptions — alternating the default parallel
+// schedule and the serial one (WithWorkers(1)) — and requires byte-identical rendered report
 // output every time. This is the contract every "seed N reproduces the
 // run" claim in the repo rests on.
 func TestSeedDeterminismRepeatedBuilds(t *testing.T) {
@@ -26,7 +26,7 @@ func TestSeedDeterminismRepeatedBuilds(t *testing.T) {
 			WithSeed(stressCfg.Seed),
 		}
 		if serial {
-			opts = append(opts, WithSerialPipeline())
+			opts = append(opts, WithWorkers(1))
 		}
 		s, err := NewStudyWithOptions(opts...)
 		if err != nil {

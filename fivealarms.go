@@ -71,17 +71,14 @@ type Config struct {
 	Transceivers int
 	// MappedFiresPerSeason bounds fire-simulation cost. Defaults to 40.
 	MappedFiresPerSeason int
-	// PipelineSerial is the debugging escape hatch: build the layers and
-	// simulate the historical seasons one at a time instead of across
-	// worker goroutines. Results are bit-identical either way; only
-	// wall-clock time changes.
-	PipelineSerial bool
-	// RasterWorkers bounds the parallelism of the tiled raster kernels
-	// (perimeter-union fills, distance transforms, dilations, contour
-	// tracing). 0 selects GOMAXPROCS (or serial when PipelineSerial is
-	// set); 1 forces the serial kernels. Results are bit-identical at
-	// any setting; only wall-clock time changes.
-	RasterWorkers int
+	// Workers bounds the study's parallelism: the layer build graph, the
+	// historical season simulations and joins, and the tiled raster
+	// kernels (perimeter-union fills, distance transforms, dilations,
+	// contour tracing). 0 selects GOMAXPROCS; 1 runs everything on the
+	// serial schedule; n > 1 caps each stage at n concurrent workers.
+	// Results are bit-identical at any setting; only wall-clock time
+	// changes.
+	Workers int
 	// Shards selects the sharded execution path for the transceiver-axis
 	// analyses (Table 1-3, the hold-out validation, the perimeter union
 	// masks): the fleet is partitioned into this many CONUS row bands,
@@ -127,12 +124,12 @@ func (c Config) withDefaults() Config {
 // memory (the CONUS window is ~4.6M x 2.9M meters), one coarser than
 // maxCellSizeM degenerates below state scale.
 const (
-	minCellSizeM     = 100
-	maxCellSizeM     = 1e6
-	maxTransceivers  = 100_000_000
-	maxMappedFires   = 100_000
-	maxRasterWorkers = 4096
-	maxShards        = 4096
+	minCellSizeM    = 100
+	maxCellSizeM    = 1e6
+	maxTransceivers = 100_000_000
+	maxMappedFires  = 100_000
+	maxWorkers      = 4096
+	maxShards       = 4096
 )
 
 // Validate rejects configurations that withDefaults would otherwise
@@ -143,8 +140,7 @@ const (
 // (errors.Join), so a caller fixing a rejected configuration sees the
 // whole list at once instead of one field per attempt.
 // NewStudyWithOptions and the command-line binaries surface these
-// errors; NewStudy retains the legacy lenient behavior for
-// compatibility.
+// errors.
 func (c Config) Validate() error {
 	var errs []error
 	switch {
@@ -170,10 +166,10 @@ func (c Config) Validate() error {
 		errs = append(errs, fmt.Errorf("fivealarms: MappedFiresPerSeason %d above the %d maximum", c.MappedFiresPerSeason, maxMappedFires))
 	}
 	switch {
-	case c.RasterWorkers < 0:
-		errs = append(errs, fmt.Errorf("fivealarms: RasterWorkers must be >= 0, got %d", c.RasterWorkers))
-	case c.RasterWorkers > maxRasterWorkers:
-		errs = append(errs, fmt.Errorf("fivealarms: RasterWorkers %d above the %d maximum", c.RasterWorkers, maxRasterWorkers))
+	case c.Workers < 0:
+		errs = append(errs, fmt.Errorf("fivealarms: Workers must be >= 0, got %d", c.Workers))
+	case c.Workers > maxWorkers:
+		errs = append(errs, fmt.Errorf("fivealarms: Workers %d above the %d maximum", c.Workers, maxWorkers))
 	}
 	switch {
 	case c.Shards < 0:
@@ -200,7 +196,7 @@ func PaperScale(seed uint64) Config {
 //
 // A Study is safe for concurrent use by multiple goroutines and must not
 // be copied after creation. The derived-layer accessors (History,
-// Season2019, Corridor, WHPOverlay, the union masks, Extend, ExtendFine)
+// Season2019, Corridor, WHPOverlay, the union masks, ExtendWith)
 // memoize their results: the first caller computes, concurrent callers
 // during that computation block and share it, and every later call is a
 // cache hit.
@@ -235,30 +231,6 @@ type Study struct {
 	}
 }
 
-// NewStudy builds all layers for the configuration. Out-of-range fields
-// are silently defaulted (the legacy behavior); use NewStudyWithOptions
-// to surface configuration errors instead.
-//
-// NewStudy keeps its infallible signature because its failure surface is
-// provably empty for the configurations it predates: every monolithic
-// layer builder below returns nil unconditionally, the task graph is
-// acyclic by pipeline.Graph.Add's declared-before-use contract, no
-// context reaches it (Config.ctx is settable only through WithContext),
-// and no injection hook is installed outside the chaos tests. A non-nil
-// error is therefore a programming error in this file, and panicking is
-// the correct report. The exceptions are Config.SnapshotPath (file I/O
-// can genuinely fail) and the sharded merge's internal invariants: for
-// those configurations use NewStudyWithOptions, which surfaces the
-// error instead.
-func NewStudy(cfg Config) *Study {
-	cfg.ctx = nil
-	s, err := build(cfg.withDefaults())
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // buildFaultHook, when non-nil, is installed as the chaos-injection
 // hook on every study build graph. It exists solely for the fault-
 // containment tests in this package and must stay nil in production
@@ -282,7 +254,7 @@ func build(cfg Config) (*Study, error) {
 	}
 	s := &Study{Cfg: cfg}
 	s.Cfg.ctx = nil // the Study must not retain the build context
-	g := pipeline.New(0)
+	g := pipeline.New(cfg.Workers)
 	if buildFaultHook != nil {
 		g.SetInjectionHook(buildFaultHook)
 	}
@@ -325,13 +297,7 @@ func build(cfg Config) (*Study, error) {
 		addShardedTasks(g, sb, ctx)
 	}
 
-	var err error
-	if cfg.PipelineSerial {
-		err = g.RunSerialContext(ctx)
-	} else {
-		err = g.RunContext(ctx)
-	}
-	if err != nil {
+	if err := g.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("fivealarms: building study: %w", err)
 	}
 	if sb != nil {
@@ -341,18 +307,15 @@ func build(cfg Config) (*Study, error) {
 }
 
 // History simulates the calibrated 2000-2018 fire seasons. The seasons
-// are simulated once per Study (in parallel unless Config.PipelineSerial
-// is set — each season draws from an independent rng stream, so the
-// result is identical either way) and cached for every later caller.
+// are simulated once per Study across Config.Workers workers — each
+// season draws from an independent rng stream, so the result is
+// identical at any setting — and cached for every later caller.
 func (s *Study) History() []*wildfire.Season {
 	return s.mem.history.Get(func() []*wildfire.Season {
 		if s.sharded != nil {
 			return s.sharded.history
 		}
-		if s.Cfg.PipelineSerial {
-			return wildfire.SimulateHistory(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason)
-		}
-		return wildfire.SimulateHistoryParallel(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason, 0)
+		return wildfire.SimulateHistoryParallel(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason, s.Cfg.Workers)
 	})
 }
 
@@ -368,19 +331,16 @@ func (s *Study) Season2019() *wildfire.Season {
 }
 
 // Table1 runs the historical overlay over the 2000-2018 seasons, once
-// per Study. The seasons join in parallel unless Config.PipelineSerial
-// is set — each season is an independent join over read-only layers, so
-// the result is identical either way. The returned slice is shared
-// between callers: read-only.
+// per Study. The seasons join across Config.Workers workers — each
+// season is an independent join over read-only layers, so the result is
+// identical at any setting. The returned slice is shared between
+// callers: read-only.
 func (s *Study) Table1() []risk.YearOverlay {
 	return s.mem.table1.Get(func() []risk.YearOverlay {
 		if s.sharded != nil {
 			return s.sharded.table1
 		}
-		if s.Cfg.PipelineSerial {
-			return s.Analyzer.HistoricalOverlayWorkers(s.History(), 1)
-		}
-		return s.Analyzer.HistoricalOverlay(s.History())
+		return s.Analyzer.HistoricalOverlayWorkers(s.History(), s.Cfg.Workers)
 	})
 }
 
@@ -406,16 +366,6 @@ func (s *Study) WHPOverlay() *risk.WHPResult {
 	return s.mem.overlay.Get(s.Analyzer.WHPOverlay)
 }
 
-// rasterWorkers resolves Config.RasterWorkers for the tiled raster
-// kernels: PipelineSerial turns the 0 (auto) setting into the serial
-// path, matching how the rest of the pipeline honors that escape hatch.
-func (s *Study) rasterWorkers() int {
-	if s.Cfg.RasterWorkers == 0 && s.Cfg.PipelineSerial {
-		return 1
-	}
-	return s.Cfg.RasterWorkers
-}
-
 // HistoryUnionMask rasterizes the union of the 2000-2018 perimeters onto
 // the world grid (the data behind Figure 3), once per Study.
 func (s *Study) HistoryUnionMask() *raster.BitGrid {
@@ -423,7 +373,7 @@ func (s *Study) HistoryUnionMask() *raster.BitGrid {
 		if s.sharded != nil {
 			return s.sharded.unionHist
 		}
-		return s.Analyzer.FireUnionMaskWorkers(s.History(), s.rasterWorkers())
+		return s.Analyzer.FireUnionMaskWorkers(s.History(), s.Cfg.Workers)
 	})
 }
 
@@ -434,7 +384,7 @@ func (s *Study) Season2019UnionMask() *raster.BitGrid {
 		if s.sharded != nil {
 			return s.sharded.union2019
 		}
-		return s.Analyzer.FireUnionMaskWorkers([]*wildfire.Season{s.Season2019()}, s.rasterWorkers())
+		return s.Analyzer.FireUnionMaskWorkers([]*wildfire.Season{s.Season2019()}, s.Cfg.Workers)
 	})
 }
 
@@ -457,44 +407,17 @@ func (s *Study) Validate() *risk.ValidationResult {
 	})
 }
 
-// Extend runs the §3.8 very-high extension experiment with the given
-// buffer distance in meters on the coarse national raster.
-//
-// Deprecated: use ExtendWith, the unified entry point for both the
-// coarse and fine extension paths — ExtendWith(ExtendOptions{DistM: d})
-// is the equivalent call (and additionally resolves d <= 0 to the
-// paper's half mile). Extend remains as a thin delegating shim; both
-// entry points share the same per-distance memo, so mixing them never
-// recomputes.
-func (s *Study) Extend(distM float64) *risk.ExtensionResult {
-	return s.extendCoarse(distM)
-}
-
-// ExtendFine runs the §3.8 experiment at sub-kilometer resolution over
-// the California window.
-//
-// Deprecated: use ExtendWith, the unified entry point —
-// ExtendWith(ExtendOptions{CellSizeM: cellSize, DistM: distM}) is the
-// equivalent call when cellSize is finer than the national raster.
-// ExtendFine remains as a thin delegating shim over the same
-// per-parameter memo.
-func (s *Study) ExtendFine(cellSize, distM float64) *risk.FineExtension {
-	return s.extendFine(cellSize, distM)
-}
-
-// extendCoarse is the memoized coarse-path extension shared by
-// ExtendWith and the deprecated Extend shim. distM passes through to
-// the analyzer unresolved: callers own defaulting.
+// extendCoarse is ExtendWith's memoized coarse path. distM passes
+// through to the analyzer unresolved: callers own defaulting.
 func (s *Study) extendCoarse(distM float64) *risk.ExtensionResult {
 	return s.mem.extend.Get(distM, func() *risk.ExtensionResult {
 		return s.Analyzer.ExtendAndValidate(s.Season2019(), distM)
 	})
 }
 
-// extendFine is the memoized fine-path extension shared by ExtendWith
-// and the deprecated ExtendFine shim (cellSize 0 -> 800 m, distM 0 ->
-// 804.67 m, resolved by the analyzer). Memoized per (cellSize, distM)
-// pair as passed.
+// extendFine is ExtendWith's memoized fine path (distM 0 -> 804.67 m,
+// resolved by the analyzer). Memoized per (cellSize, distM) pair as
+// passed.
 func (s *Study) extendFine(cellSize, distM float64) *risk.FineExtension {
 	return s.mem.extendFine.Get([2]float64{cellSize, distM}, func() *risk.FineExtension {
 		return s.Analyzer.ExtendAndValidateFine(s.Season2019(), cellSize, distM)

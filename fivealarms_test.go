@@ -8,7 +8,7 @@ import (
 
 // sharedStudy is the package-level fixture: small but large enough for
 // every experiment to produce nonzero results.
-var sharedStudy = NewStudy(Config{Seed: 7, CellSizeM: 20000, Transceivers: 60000, MappedFiresPerSeason: 12})
+var sharedStudy = mustStudy(Config{Seed: 7, CellSizeM: 20000, Transceivers: 60000, MappedFiresPerSeason: 12})
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
@@ -79,7 +79,7 @@ func TestEndToEndValidationAndExtension(t *testing.T) {
 	if v.InPerimeter == 0 {
 		t.Fatal("validation empty")
 	}
-	ext := sharedStudy.Extend(2.5 * sharedStudy.World.Grid.CellSize)
+	ext := sharedStudy.ExtendWith(ExtendOptions{DistM: 2.5 * sharedStudy.World.Grid.CellSize})
 	if ext.VHAfter <= ext.VHBefore {
 		t.Error("extension did not grow")
 	}
@@ -111,8 +111,8 @@ func TestEndToEndFuture(t *testing.T) {
 }
 
 func TestDeterministicStudies(t *testing.T) {
-	a := NewStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
-	b := NewStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
+	a := mustStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
+	b := mustStudy(Config{Seed: 11, CellSizeM: 40000, Transceivers: 5000, MappedFiresPerSeason: 4})
 	if a.Data.Len() != b.Data.Len() {
 		t.Fatal("dataset sizes differ")
 	}

@@ -11,9 +11,16 @@ import (
 
 // cliStudy is a minimal study: the CLI tests exercise dispatch and
 // rendering, not statistical shape.
-var cliStudy = fivealarms.NewStudy(fivealarms.Config{
+var cliStudy = mustStudy(fivealarms.NewStudyWithOptions(fivealarms.WithConfig(fivealarms.Config{
 	Seed: 7, CellSizeM: 40000, Transceivers: 10000, MappedFiresPerSeason: 5,
-})
+})))
+
+func mustStudy(s *fivealarms.Study, err error) *fivealarms.Study {
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 func TestRunEveryExperiment(t *testing.T) {
 	for _, exp := range Experiments {

@@ -125,8 +125,9 @@ var fixtureTests = []struct {
 		dir:  "goroleak",
 		path: "fivealarms/lintfixture/goroleak",
 		want: []string{
-			"positive.go:7:2 goroleak",
-			"positive.go:8:2 goroleak",
+			"positive.go:9:2 goroleak",
+			"positive.go:10:2 goroleak",
+			"positive.go:30:3 goroleak",
 		},
 	},
 	{

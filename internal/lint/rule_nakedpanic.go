@@ -17,9 +17,8 @@ func ruleNakedPanic() Rule {
 // runNakedPanic enforces the PR-3 failure model: library code returns
 // errors; panicking is reserved for documented programming-error
 // contracts (pipeline.Graph.Add on a malformed graph, rng.Intn on
-// non-positive n, NewStudy's provably-infallible build). A panic call
-// is clean only when the doc comment of the enclosing top-level
-// function states the contract (mentions "panic"); everything else
+// non-positive n). A panic call is clean only when the doc comment of
+// the enclosing top-level function states the contract (mentions "panic"); everything else
 // must return an error or carry an allow annotation. Function
 // literals inherit the contract of the declaration they appear in —
 // Go has no nested named functions, so the enclosing FuncDecl is the

@@ -21,7 +21,7 @@ func Spread(fires []Fire, c *Cache) []Fire {
 }
 
 // enqueue shares the job through a pointer: the WaitGroup is not
-// forked, matching the raster kernel pool's by-reference dispatch.
+// forked, matching a worker pool's by-reference dispatch.
 func enqueue(ch chan *job, j *job) {
 	ch <- j
 }

@@ -8,55 +8,18 @@ import (
 // The tiled execution model: every raster kernel decomposes its grid
 // into contiguous bands (row ranges for scanline work, column ranges
 // for the distance transform's first pass, word ranges for bit-level
-// work) and runs the bands on a bounded pool of persistent worker
-// goroutines. Band boundaries are a pure function of (item count, band
+// work) and runs the bands concurrently for the duration of one kernel
+// call. Band boundaries are a pure function of (item count, band
 // count), each band writes a disjoint region of the output or a private
 // tile merged serially in band order, and no band's result depends on
 // scheduling — so the parallel kernels are bit-identical to the serial
 // path at any worker count, which the diffcheck parallel drivers
 // enforce (DESIGN.md, "Raster execution model").
-//
-// The pool is persistent (started once, sized to GOMAXPROCS at first
-// use) so dispatching a kernel performs no allocation: jobs travel by
-// value over a channel and completion is signaled through a WaitGroup
-// owned by the kernel's pooled task struct.
 
 // A bandTask is one kernel invocation's banded execution: runBand
 // processes the half-open range [lo, hi) of band index `band`.
-// Implementations must be leaf work — a runBand must never dispatch
-// bands of its own (the pool's no-nesting rule, which is what makes the
-// bounded pool deadlock-free: every queued job completes without
-// waiting on another job).
 type bandTask interface {
 	runBand(band, lo, hi int)
-}
-
-var kernelPool struct {
-	once sync.Once
-	jobs chan kernelJob
-}
-
-type kernelJob struct {
-	t      bandTask
-	band   int
-	lo, hi int
-	wg     *sync.WaitGroup
-}
-
-func startKernelPool() {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	kernelPool.jobs = make(chan kernelJob, 4*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			for j := range kernelPool.jobs {
-				j.t.runBand(j.band, j.lo, j.hi)
-				j.wg.Done()
-			}
-		}()
-	}
 }
 
 // parallelMinCells is the grid size below which the auto worker setting
@@ -96,18 +59,22 @@ func kernelBands(workers, cells, items int) int {
 
 // runBands executes t over [0, n) split into bands contiguous ranges:
 // band b covers [b*n/bands, (b+1)*n/bands). Band 0 runs inline on the
-// calling goroutine; the rest are dispatched to the persistent pool.
-// wg must be an idle WaitGroup owned by t (reused across calls); on
-// return every band has completed and its writes are visible.
-func runBands(t bandTask, wg *sync.WaitGroup, n, bands int) {
+// calling goroutine and bands 1..bands-1 on goroutines started here;
+// on return every band has completed, its writes are visible, and no
+// goroutine started by the call is still running.
+func runBands(t bandTask, n, bands int) {
 	if bands <= 1 || n <= 1 {
 		t.runBand(0, 0, n)
 		return
 	}
-	kernelPool.once.Do(startKernelPool)
+	var wg sync.WaitGroup
 	wg.Add(bands - 1)
 	for b := 1; b < bands; b++ {
-		kernelPool.jobs <- kernelJob{t: t, band: b, lo: b * n / bands, hi: (b + 1) * n / bands, wg: wg}
+		lo, hi := bandRange(b, n, bands)
+		go func() {
+			defer wg.Done()
+			t.runBand(b, lo, hi)
+		}()
 	}
 	t.runBand(0, 0, n/bands)
 	wg.Wait()

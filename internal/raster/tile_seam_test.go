@@ -364,7 +364,9 @@ func TestRasterKernelFingerprints(t *testing.T) {
 
 // TestFusedSweepSteadyStateAllocs pins the arena's purpose: after
 // warm-up, the fused fill+distance sweep over a fixed geometry performs
-// zero allocations per iteration.
+// zero allocations per iteration. testing.AllocsPerRun sets GOMAXPROCS
+// to 1, so the auto band count is one band and this pins the serial
+// path; each extra band adds one goroutine launch.
 func TestFusedSweepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates inside the sweep")
@@ -380,8 +382,8 @@ func TestFusedSweepSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the arena and the worker pool: the first sweeps grow the
-	// pooled buffers to this geometry's sizes.
+	// Warm the arena: the first sweeps grow the pooled buffers to this
+	// geometry's sizes.
 	sweep()
 	sweep()
 	runtime.GC()

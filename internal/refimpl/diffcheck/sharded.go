@@ -53,7 +53,7 @@ func CheckSharded(seed int64) error {
 		for _, serial := range []bool{false, true} {
 			opts := []fivealarms.Option{fivealarms.WithConfig(cfg), fivealarms.WithShards(n)}
 			if serial {
-				opts = append(opts, fivealarms.WithSerialPipeline())
+				opts = append(opts, fivealarms.WithWorkers(1))
 			}
 			sh, err := fivealarms.NewStudyWithOptions(opts...)
 			if err != nil {

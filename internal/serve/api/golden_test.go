@@ -46,7 +46,7 @@ func goldenStudies(t *testing.T) (*fivealarms.Study, *fivealarms.Study) {
 	studyOnce.Do(func() {
 		studyParallel, studyErrP = fivealarms.NewStudyWithOptions(fivealarms.WithConfig(goldenCfg))
 		serialCfg := goldenCfg
-		serialCfg.PipelineSerial = true
+		serialCfg.Workers = 1
 		studySerial, studyErrS = fivealarms.NewStudyWithOptions(fivealarms.WithConfig(serialCfg))
 	})
 	if studyErrP != nil || studyErrS != nil {

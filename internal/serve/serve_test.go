@@ -654,4 +654,9 @@ func TestStudyKeyCoversShardingFields(t *testing.T) {
 	if keyOf(snap) == base {
 		t.Error("SnapshotPath does not participate in the study key")
 	}
+	serial := testCfg
+	serial.Workers = 1
+	if keyOf(serial) == base {
+		t.Error("Workers does not participate in the study key")
+	}
 }

@@ -6,8 +6,8 @@ import "context"
 //
 // Ordering semantics (the single source of truth for every option):
 // options apply strictly left to right. A field option (WithSeed,
-// WithCellSizeM, WithTransceivers, WithFiresPerSeason,
-// WithRasterWorkers, WithSerialPipeline, WithContext) overrides that one field of
+// WithCellSizeM, WithTransceivers, WithFiresPerSeason, WithWorkers,
+// WithShards, WithSnapshot, WithContext) overrides that one field of
 // whatever the earlier options assembled. A whole-config option
 // (WithConfig, WithPaperScale) replaces the entire configuration —
 // including clearing a context installed by an earlier WithContext —
@@ -67,21 +67,12 @@ func WithPaperScale(seed uint64) Option {
 	return func(c *Config) { *c = PaperScale(seed) }
 }
 
-// WithRasterWorkers bounds the parallelism of the tiled raster kernels
-// (Config.RasterWorkers): perimeter-union fills, distance transforms,
-// dilations and contour tracing. 0 selects GOMAXPROCS (or serial under
-// WithSerialPipeline), 1 forces the serial kernels. Results are
+// WithWorkers bounds the study's parallelism (Config.Workers): the
+// layer build, the historical seasons and the tiled raster kernels. 0
+// selects GOMAXPROCS, 1 runs the serial schedule. Results are
 // bit-identical at any setting.
-func WithRasterWorkers(n int) Option {
-	return func(c *Config) { c.RasterWorkers = n }
-}
-
-// WithSerialPipeline forces the serial build and simulation path
-// (Config.PipelineSerial): layers build one at a time and the historical
-// seasons simulate sequentially. Results are bit-identical to the
-// default parallel pipeline; this is a debugging escape hatch.
-func WithSerialPipeline() Option {
-	return func(c *Config) { c.PipelineSerial = true }
+func WithWorkers(n int) Option {
+	return func(c *Config) { c.Workers = n }
 }
 
 // WithShards selects the sharded execution path (Config.Shards): the
@@ -105,12 +96,11 @@ func WithSnapshot(path string) Option {
 }
 
 // NewStudyWithOptions validates the assembled configuration and builds
-// all layers through the parallel pipeline (see Config.PipelineSerial
-// for the serial escape hatch). Unlike NewStudy, it rejects malformed
-// configurations — negative or non-finite dimensions, absurd sizes —
-// instead of silently clamping them, and it surfaces build-pipeline
-// failures (cancellation via WithContext, contained task panics) as
-// errors rather than crashing. On error the returned Study is nil:
+// all layers through the pipeline (see Config.Workers for the
+// parallelism bound). It rejects malformed configurations — negative
+// or non-finite dimensions, absurd sizes — instead of silently clamping
+// them, and it surfaces build-pipeline failures (cancellation via
+// WithContext, contained task panics) as errors. On error the returned Study is nil:
 // partially built state never escapes.
 func NewStudyWithOptions(opts ...Option) (*Study, error) {
 	var cfg Config

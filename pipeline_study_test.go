@@ -1,7 +1,7 @@
 package fivealarms
 
-// Tests for the parallel study pipeline: the serial escape hatch must be
-// bit-identical to the parallel build, the memoized accessors must
+// Tests for the parallel study pipeline: the serial schedule
+// (Workers=1) must be bit-identical to the parallel build, the memoized accessors must
 // compute each derived layer exactly once, and a Study must survive
 // many goroutines running every analysis concurrently (run under
 // `go test -race` / `make race`).
@@ -20,8 +20,18 @@ var stressCfg = Config{Seed: 7, CellSizeM: 40000, Transceivers: 5000, MappedFire
 
 func serialCfg() Config {
 	c := stressCfg
-	c.PipelineSerial = true
+	c.Workers = 1
 	return c
+}
+
+// mustStudy builds cfg through NewStudyWithOptions and panics on error,
+// for fixtures (package-level ones included) that have no *testing.T.
+func mustStudy(cfg Config) *Study {
+	s, err := NewStudyWithOptions(WithConfig(cfg))
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // analysisFingerprints serializes the headline analyses into strings;
@@ -58,10 +68,10 @@ func asJSON(v any) string {
 
 // TestSerialPipelineIdentical asserts the acceptance criterion: a Study
 // built by the parallel pipeline produces byte-identical analysis rows
-// to one built through the PipelineSerial escape hatch.
+// to one built on the serial schedule (Workers=1).
 func TestSerialPipelineIdentical(t *testing.T) {
-	parallel := analysisFingerprints(NewStudy(stressCfg))
-	serial := analysisFingerprints(NewStudy(serialCfg()))
+	parallel := analysisFingerprints(mustStudy(stressCfg))
+	serial := analysisFingerprints(mustStudy(serialCfg()))
 	for name, want := range serial {
 		if got := parallel[name]; got != want {
 			t.Errorf("%s differs between serial and parallel builds:\nserial:\n%s\nparallel:\n%s", name, want, got)
@@ -74,7 +84,7 @@ func TestSerialPipelineIdentical(t *testing.T) {
 // identity), so a second Table1/Validate/CaseStudy triggers zero new
 // fire-season simulations.
 func TestMemoizedAccessors(t *testing.T) {
-	s := NewStudy(stressCfg)
+	s := mustStudy(stressCfg)
 	h1, h2 := s.History(), s.History()
 	if len(h1) == 0 || &h1[0] != &h2[0] {
 		t.Error("History not memoized")
@@ -95,14 +105,16 @@ func TestMemoizedAccessors(t *testing.T) {
 		t.Error("Season2019UnionMask not memoized")
 	}
 	d := 2.5 * s.World.Grid.CellSize
-	if s.Extend(d) != s.Extend(d) {
-		t.Error("Extend not memoized per distance")
+	coarse := func(d float64) any { return s.ExtendWith(ExtendOptions{DistM: d}).Coarse }
+	if coarse(d) != coarse(d) {
+		t.Error("coarse ExtendWith not memoized per distance")
 	}
-	if s.Extend(d) == s.Extend(2*d) {
-		t.Error("Extend conflates distinct distances")
+	if coarse(d) == coarse(2*d) {
+		t.Error("coarse ExtendWith conflates distinct distances")
 	}
-	if s.ExtendFine(800, 0) != s.ExtendFine(800, 0) {
-		t.Error("ExtendFine not memoized per parameter pair")
+	fine := func() any { return s.ExtendWith(ExtendOptions{CellSizeM: 800}).Window }
+	if fine() != fine() {
+		t.Error("fine ExtendWith not memoized per parameter pair")
 	}
 }
 
@@ -110,8 +122,8 @@ func TestMemoizedAccessors(t *testing.T) {
 // run every analysis concurrently on one freshly built Study and each
 // must observe exactly the serial reference results.
 func TestConcurrentAnalysesIdentical(t *testing.T) {
-	want := analysisFingerprints(NewStudy(serialCfg()))
-	s := NewStudy(stressCfg)
+	want := analysisFingerprints(mustStudy(serialCfg()))
+	s := mustStudy(stressCfg)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -248,11 +260,10 @@ func TestNewStudyWithOptions(t *testing.T) {
 		t.Errorf("Cfg = %+v, want %+v", s.Cfg, want)
 	}
 
-	// The thin-wrapper contract: NewStudy with the same config produces
-	// the same results.
-	legacy := NewStudy(want)
+	// WithConfig of the same config produces the same results.
+	legacy := mustStudy(want)
 	if a, b := asJSON(s.Table2()), asJSON(legacy.Table2()); a != b {
-		t.Error("NewStudyWithOptions and NewStudy disagree for the same config")
+		t.Error("WithConfig and field options disagree for the same config")
 	}
 
 	if _, err := NewStudyWithOptions(WithCellSizeM(-1)); err == nil {
@@ -261,39 +272,39 @@ func TestNewStudyWithOptions(t *testing.T) {
 	if _, err := NewStudyWithOptions(WithTransceivers(-7)); err == nil {
 		t.Error("negative Transceivers accepted")
 	}
-	if _, err := NewStudyWithOptions(WithRasterWorkers(-1)); err == nil {
-		t.Error("negative RasterWorkers accepted")
+	if _, err := NewStudyWithOptions(WithWorkers(-1)); err == nil {
+		t.Error("negative Workers accepted")
 	}
-	if _, err := NewStudyWithOptions(WithRasterWorkers(1 << 20)); err == nil {
-		t.Error("RasterWorkers above the pool maximum accepted")
+	if _, err := NewStudyWithOptions(WithWorkers(1 << 20)); err == nil {
+		t.Error("Workers above the maximum accepted")
 	}
 
 	// An explicit worker count survives option composition and must not
-	// change any result: the tiled kernels are bit-identical per band
-	// count, so the overlay tables match the serial study's exactly.
-	s3, err := NewStudyWithOptions(WithConfig(want), WithRasterWorkers(3))
+	// change any result: every stage is bit-identical at any worker
+	// bound, so the overlay tables match the default study's exactly.
+	s3, err := NewStudyWithOptions(WithConfig(want), WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Cfg.RasterWorkers != 3 {
-		t.Errorf("RasterWorkers = %d, want 3", s3.Cfg.RasterWorkers)
+	if s3.Cfg.Workers != 3 {
+		t.Errorf("Workers = %d, want 3", s3.Cfg.Workers)
 	}
 	if a, b := asJSON(s3.Table2()), asJSON(legacy.Table2()); a != b {
-		t.Error("RasterWorkers=3 changed Table 2 versus the serial study")
+		t.Error("Workers=3 changed Table 2 versus the default study")
 	}
 
 	// WithConfig seeds the whole struct; later options override fields.
-	s2, err := NewStudyWithOptions(WithConfig(want), WithSeed(12), WithSerialPipeline())
+	s2, err := NewStudyWithOptions(WithConfig(want), WithSeed(12), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Cfg.Seed != 12 || !s2.Cfg.PipelineSerial || s2.Cfg.CellSizeM != 40000 {
+	if s2.Cfg.Seed != 12 || s2.Cfg.Workers != 1 || s2.Cfg.CellSizeM != 40000 {
 		t.Errorf("option composition: %+v", s2.Cfg)
 	}
 }
 
 func TestExtendWithSelectionRule(t *testing.T) {
-	s := NewStudy(stressCfg)
+	s := mustStudy(stressCfg)
 
 	coarse := s.ExtendWith(ExtendOptions{})
 	if coarse.Fine || coarse.Coarse == nil || coarse.Window != nil {
@@ -318,11 +329,11 @@ func TestExtendWithSelectionRule(t *testing.T) {
 		t.Error("CellSizeM == national raster should stay coarse")
 	}
 
-	// Consistency with the legacy entry points it unifies.
-	if coarse.Coarse != s.Extend(coarse.DistM) {
-		t.Error("coarse path does not share the Extend memo")
+	// Repeated calls with the same options are memo hits.
+	if coarse.Coarse != s.ExtendWith(ExtendOptions{DistM: coarse.DistM}).Coarse {
+		t.Error("coarse path does not memoize per distance")
 	}
-	if fine.Window != s.ExtendFine(800, 0) {
-		t.Error("fine path does not share the ExtendFine memo")
+	if fine.Window != s.ExtendWith(ExtendOptions{CellSizeM: 800}).Window {
+		t.Error("fine path does not memoize per parameter pair")
 	}
 }

@@ -164,7 +164,7 @@ func TestShardedChaosCleanRunIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildFaultHook = nil
-	clean := NewStudy(stressCfg)
+	clean := mustStudy(stressCfg)
 	a, b := analysisFingerprints(instrumented), analysisFingerprints(clean)
 	for name, want := range b {
 		if a[name] != want {

@@ -31,7 +31,7 @@ func shardedTwin(t *testing.T, n int, extra ...Option) *Study {
 // sharded products and the monolithic analyses downstream of them —
 // is byte-identical between the monolithic build and sharded twins.
 func TestShardedStudyMatchesMonolithic(t *testing.T) {
-	want := analysisFingerprints(NewStudy(stressCfg))
+	want := analysisFingerprints(mustStudy(stressCfg))
 	for _, n := range []int{1, 3, 5} {
 		got := analysisFingerprints(shardedTwin(t, n))
 		for name, w := range want {
@@ -46,7 +46,7 @@ func TestShardedStudyMatchesMonolithic(t *testing.T) {
 // and Season2019 accessors serve the graph-built seasons — identical
 // to the monolithic simulations.
 func TestShardedSeasonAccessors(t *testing.T) {
-	mono := NewStudy(stressCfg)
+	mono := mustStudy(stressCfg)
 	sh := shardedTwin(t, 2)
 	if got, want := len(sh.History()), len(mono.History()); got != want {
 		t.Fatalf("sharded History has %d seasons, monolithic %d", got, want)
@@ -61,24 +61,10 @@ func TestShardedSeasonAccessors(t *testing.T) {
 	}
 }
 
-// TestNewStudyPanicsOnSnapshotError: NewStudy keeps its infallible
-// signature by panicking on the configurations whose failure surface is
-// real (snapshot I/O) — NewStudyWithOptions is the error-returning path.
-func TestNewStudyPanicsOnSnapshotError(t *testing.T) {
-	cfg := stressCfg
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "absent.fa5c")
-	defer func() {
-		if recover() == nil {
-			t.Error("NewStudy with a missing snapshot did not panic")
-		}
-	}()
-	NewStudy(cfg)
-}
-
 // TestShardedMasksBitIdentical: the merged union masks match the
 // monolithic fills word for word (fingerprint, not just count).
 func TestShardedMasksBitIdentical(t *testing.T) {
-	mono := NewStudy(stressCfg)
+	mono := mustStudy(stressCfg)
 	sh := shardedTwin(t, 4)
 	if got, want := sh.HistoryUnionMask().Fingerprint(), mono.HistoryUnionMask().Fingerprint(); got != want {
 		t.Errorf("history union fingerprint %#x != monolithic %#x", got, want)
@@ -92,7 +78,7 @@ func TestShardedMasksBitIdentical(t *testing.T) {
 // bands empty (zero rows, zero transceivers). Empty shards must build,
 // merge as no-ops, and leave the results untouched.
 func TestShardedManyEmptyShards(t *testing.T) {
-	mono := NewStudy(stressCfg)
+	mono := mustStudy(stressCfg)
 	sh := shardedTwin(t, 300)
 	rows, peak := sh.ShardStats()
 	if len(rows) != 300 {
@@ -127,7 +113,7 @@ func TestShardedManyEmptyShards(t *testing.T) {
 // reports band-ordered row counts whose peak accounting is monotone in
 // the largest band, and the returned slice is a private copy.
 func TestShardStats(t *testing.T) {
-	mono := NewStudy(stressCfg)
+	mono := mustStudy(stressCfg)
 	if rows, peak := mono.ShardStats(); rows != nil || peak != 0 {
 		t.Fatalf("monolithic ShardStats = (%v, %d), want (nil, 0)", rows, peak)
 	}
@@ -147,7 +133,7 @@ func TestShardStats(t *testing.T) {
 // written by its own twin is indistinguishable from the cold build —
 // including under sharded execution on top of the warm load.
 func TestSnapshotWarmLoadBitIdentical(t *testing.T) {
-	cold := NewStudy(stressCfg)
+	cold := mustStudy(stressCfg)
 	path := filepath.Join(t.TempDir(), "fleet.fa5c")
 	if err := cold.WriteSnapshot(path); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -198,7 +184,7 @@ func TestSnapshotLoadErrorsSurface(t *testing.T) {
 // TestWriteSnapshotErrors: an unwritable destination is reported and no
 // partial file is left behind.
 func TestWriteSnapshotErrors(t *testing.T) {
-	s := NewStudy(stressCfg)
+	s := mustStudy(stressCfg)
 	path := filepath.Join(t.TempDir(), "no-such-dir", "fleet.fa5c")
 	if err := s.WriteSnapshot(path); err == nil {
 		t.Fatal("WriteSnapshot into a missing directory succeeded")
