@@ -77,16 +77,16 @@ bench-raster:
 
 # Regenerate the full-paper-scale sharded baseline: one cold build of
 # the 5,364,949-transceiver fleet on the 2.7 km national raster, all 19
-# seasons plus the 2019 hold-out, sharded over CONUS row bands. Records
-# wall time and the accounted peak per-shard footprint (peak-shard-B)
-# in BENCH_shard.json. Expect tens of minutes on one core.
+# seasons plus the 2019 hold-out, with the fleet overlay over CONUS row
+# bands. Records wall time in BENCH_shard.json. Expect tens of minutes
+# on one core.
 bench-shard:
 	FIVEALARMS_BENCH_PAPER=1 $(GO) test -run '^$$' -bench 'BenchmarkShardedStudy' \
 		-benchtime=1x -timeout=0 -benchmem -json . > BENCH_shard.json
 
 # Scaled-down CI twin of the full-scale sharded study: 500k transceivers
-# over 4 shards with the diffcheck conformance twin on. Gates the
-# bit-identity contract at a scale CI can afford.
+# over 4 bands, then the band-count twins and Prepare chaos sweeps.
+# Gates the bit-identity contract at a scale CI can afford.
 shard-smoke:
 	$(GO) run ./cmd/fivealarms -seed 7 -cell 10000 -transceivers 500000 -fires 40 -shards 4 table1 >/dev/null
 	$(GO) test -count=1 . -run 'Sharded'
@@ -120,7 +120,7 @@ diffcheck:
 	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
 		./internal/grid ./internal/proj -run 'Conformance|Golden'
 	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
-	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck|ShardedMaskMerge'
+	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
 # Enforce the per-package coverage floors (COVERAGE_FLOOR.txt); pass a
 # path to keep the merged profile, e.g. `make cover PROFILE=coverage.out`.
@@ -146,7 +146,7 @@ fuzz:
 # Run the fault-containment chaos suite under the race detector.
 chaos:
 	$(GO) test -race -count=2 \
-		-run 'Chaos|Cancel|Context|Panic|Poison|Retri|JoinErrors' \
+		-run 'Chaos|Cancel|Context|Panic|Poison|Retri|JoinErrors|Prepare' \
 		./internal/pipeline ./internal/faults ./internal/wildfire .
 
 # Run the serving-layer chaos suite under the race detector: overload

@@ -35,6 +35,10 @@
 // extension experiments — are computed once per Study on first use
 // (singleflight) and shared by every caller; see the README's
 // "Performance & concurrency" section for the cold/warm cost model.
+// Study.Prepare computes the fleet products (the seasons, the overlay
+// behind Table 1 and the validation, both union masks) ahead of use
+// as one cancellable pipeline run, for callers such as a server that
+// must not pay for them inside a request.
 package fivealarms
 
 import (
@@ -79,14 +83,12 @@ type Config struct {
 	// Results are bit-identical at any setting; only wall-clock time
 	// changes.
 	Workers int
-	// Shards selects the sharded execution path for the transceiver-axis
-	// analyses (Table 1-3, the hold-out validation, the perimeter union
-	// masks): the fleet is partitioned into this many CONUS row bands,
-	// each band builds through its own pipeline tasks with a bounded
-	// transient footprint, and the partial products stream-merge in band
-	// order. Results are bit-identical to the monolithic build at any
-	// shard count (see DESIGN.md §10). 0 (the default) builds
-	// monolithically.
+	// Shards is the number of CONUS row bands the fleet overlay behind
+	// Table 1 and the hold-out validation is computed over: one partial
+	// overlay per band (a shard<i>/overlay task under Prepare), merged in
+	// band order. Results are bit-identical at any band count (see
+	// DESIGN.md §10). 0 or 1 (the default) is one band: the whole fleet
+	// on the study's own analyzer, with no partition and no row copy.
 	Shards int
 	// SnapshotPath, when non-empty, warm-loads the transceiver layer
 	// from a columnar snapshot file (cellnet's "FA5C" format, written by
@@ -209,12 +211,6 @@ type Study struct {
 	Analyzer *risk.Analyzer
 	Sim      *wildfire.Simulator
 
-	// sharded, non-nil only when Config.Shards > 0, holds the stream-
-	// merged transceiver-axis products the build graph computed shard by
-	// shard. The memoized accessors below consult it before falling back
-	// to the monolithic computation; it is immutable after build.
-	sharded *shardedResults
-
 	// Memoized derived layers (see the type comment).
 	mem struct {
 		history    pipeline.Cell[[]*wildfire.Season]
@@ -223,8 +219,7 @@ type Study struct {
 		overlay    pipeline.Cell[*risk.WHPResult]
 		unionHist  pipeline.Cell[*raster.BitGrid]
 		union2019  pipeline.Cell[*raster.BitGrid]
-		table1     pipeline.Cell[[]risk.YearOverlay]
-		validate   pipeline.Cell[*risk.ValidationResult]
+		fleet      pipeline.Cell[*fleetOverlay]
 		caseStudy  pipeline.Cell[*risk.CaseStudyResult]
 		extend     pipeline.Keyed[float64, *risk.ExtensionResult]
 		extendFine pipeline.Keyed[[2]float64, *risk.FineExtension]
@@ -232,9 +227,9 @@ type Study struct {
 }
 
 // buildFaultHook, when non-nil, is installed as the chaos-injection
-// hook on every study build graph. It exists solely for the fault-
-// containment tests in this package and must stay nil in production
-// paths (nothing outside _test files assigns it).
+// hook on every study graph (build and Prepare). It exists solely for
+// the fault-containment tests in this package and must stay nil in
+// production paths (nothing outside _test files assigns it).
 var buildFaultHook func(task string) error
 
 // build constructs the study layers over the dependency-graph executor:
@@ -254,10 +249,7 @@ func build(cfg Config) (*Study, error) {
 	}
 	s := &Study{Cfg: cfg}
 	s.Cfg.ctx = nil // the Study must not retain the build context
-	g := pipeline.New(cfg.Workers)
-	if buildFaultHook != nil {
-		g.SetInjectionHook(buildFaultHook)
-	}
+	g := s.graph()
 	g.Add("world", func() error {
 		s.World = conus.Build(conus.Config{Seed: cfg.Seed, CellSizeM: cfg.CellSizeM})
 		return nil
@@ -291,72 +283,63 @@ func build(cfg Config) (*Study, error) {
 		return nil
 	}, "whp", "cellnet", "census")
 
-	var sb *shardBuild
-	if cfg.Shards > 0 {
-		sb = &shardBuild{s: s, cfg: cfg}
-		addShardedTasks(g, sb, ctx)
-	}
-
 	if err := g.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("fivealarms: building study: %w", err)
 	}
-	if sb != nil {
-		s.sharded = &sb.res
-	}
 	return s, nil
+}
+
+// graph returns an empty task graph at the study's parallelism, with
+// the chaos hook installed when a test set one.
+func (s *Study) graph() *pipeline.Graph {
+	g := pipeline.New(s.Cfg.Workers)
+	if buildFaultHook != nil {
+		g.SetInjectionHook(buildFaultHook)
+	}
+	return g
 }
 
 // History simulates the calibrated 2000-2018 fire seasons. The seasons
 // are simulated once per Study across Config.Workers workers — each
 // season draws from an independent rng stream, so the result is
-// identical at any setting — and cached for every later caller.
+// identical at any setting — and cached for every later caller. A
+// caller waiting on a Prepare whose context is cancelled mid-history
+// simulates the seasons itself rather than inheriting that error.
 func (s *Study) History() []*wildfire.Season {
-	return s.mem.history.Get(func() []*wildfire.Season {
-		if s.sharded != nil {
-			return s.sharded.history
-		}
-		return wildfire.SimulateHistoryParallel(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason, s.Cfg.Workers)
-	})
+	seasons, _ := s.mem.history.GetContext(context.Background(), s.simulateHistory) //fivealarms:allow(errflow) context.Background never cancels, so the error is unreachable
+	return seasons
+}
+
+// simulateHistory is the history cell's builder: the 2000-2018 seasons
+// under ctx, cancellable between seasons.
+func (s *Study) simulateHistory(ctx context.Context) ([]*wildfire.Season, error) {
+	return wildfire.SimulateHistoryContext(ctx, s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason, s.Cfg.Workers)
 }
 
 // Season2019 simulates the hold-out validation season with the named
 // anchor fires (Kincade, Getty, Saddle Ridge, Tick), once per Study.
 func (s *Study) Season2019() *wildfire.Season {
 	return s.mem.season2019.Get(func() *wildfire.Season {
-		if s.sharded != nil {
-			return s.sharded.season2019
-		}
 		return wildfire.Simulate2019(s.Sim, s.Cfg.Seed, s.Cfg.MappedFiresPerSeason)
 	})
 }
 
 // Table1 runs the historical overlay over the 2000-2018 seasons, once
-// per Study. The seasons join across Config.Workers workers — each
-// season is an independent join over read-only layers, so the result is
-// identical at any setting. The returned slice is shared between
-// callers: read-only.
+// per Study, as part of the fleet overlay (see Config.Shards). The
+// seasons join across Config.Workers workers — each season is an
+// independent join over read-only layers, so the result is identical at
+// any setting. The returned slice is shared between callers: read-only.
 func (s *Study) Table1() []risk.YearOverlay {
-	return s.mem.table1.Get(func() []risk.YearOverlay {
-		if s.sharded != nil {
-			return s.sharded.table1
-		}
-		return s.Analyzer.HistoricalOverlayWorkers(s.History(), s.Cfg.Workers)
-	})
+	return s.fleet().table1
 }
 
 // Table2 computes the provider risk breakdown.
 func (s *Study) Table2() []risk.ProviderRow {
-	if s.sharded != nil {
-		return s.sharded.table2
-	}
 	return s.Analyzer.ProviderRisk()
 }
 
 // Table3 computes the radio-technology risk breakdown.
 func (s *Study) Table3() []risk.RadioRow {
-	if s.sharded != nil {
-		return s.sharded.table3
-	}
 	return s.Analyzer.RadioTypeRisk()
 }
 
@@ -370,9 +353,6 @@ func (s *Study) WHPOverlay() *risk.WHPResult {
 // the world grid (the data behind Figure 3), once per Study.
 func (s *Study) HistoryUnionMask() *raster.BitGrid {
 	return s.mem.unionHist.Get(func() *raster.BitGrid {
-		if s.sharded != nil {
-			return s.sharded.unionHist
-		}
 		return s.Analyzer.FireUnionMaskWorkers(s.History(), s.Cfg.Workers)
 	})
 }
@@ -381,9 +361,6 @@ func (s *Study) HistoryUnionMask() *raster.BitGrid {
 // perimeters onto the world grid, once per Study.
 func (s *Study) Season2019UnionMask() *raster.BitGrid {
 	return s.mem.union2019.Get(func() *raster.BitGrid {
-		if s.sharded != nil {
-			return s.sharded.union2019
-		}
 		return s.Analyzer.FireUnionMaskWorkers([]*wildfire.Season{s.Season2019()}, s.Cfg.Workers)
 	})
 }
@@ -396,15 +373,11 @@ func (s *Study) CaseStudy() *risk.CaseStudyResult {
 	})
 }
 
-// Validate runs the §3.4 hold-out validation, once per Study. The
-// result is shared between callers: read-only.
+// Validate runs the §3.4 hold-out validation, once per Study, as part
+// of the fleet overlay (see Config.Shards). The result is shared
+// between callers: read-only.
 func (s *Study) Validate() *risk.ValidationResult {
-	return s.mem.validate.Get(func() *risk.ValidationResult {
-		if s.sharded != nil {
-			return s.sharded.validation
-		}
-		return s.Analyzer.Validate(s.Season2019())
-	})
+	return s.fleet().validation
 }
 
 // extendCoarse is ExtendWith's memoized coarse path. distM passes

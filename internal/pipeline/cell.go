@@ -1,12 +1,16 @@
 package pipeline
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // flight is one in-progress computation of a Cell value. Waiters block
 // on ch and then read the outcome fields, which are written exactly once
 // before ch closes.
 type flight[T any] struct {
 	ch       chan struct{}
+	ctx      context.Context // the owner's context, handed to the builder
 	val      T
 	err      error
 	panicked bool
@@ -46,22 +50,46 @@ func (c *Cell[T]) Get(build func() T) T {
 // with the failing flight and then discarded, so the next caller
 // retries.
 func (c *Cell[T]) GetErr(build func() (T, error)) (T, error) {
-	c.mu.Lock()
-	if c.done {
-		v := c.val
-		c.mu.Unlock()
-		return v, nil
-	}
-	if f := c.flight; f != nil {
+	return c.GetContext(context.Background(), func(context.Context) (T, error) { return build() })
+}
+
+// GetContext is GetErr for builders that honor a context. The caller
+// that starts a flight hands its own ctx to build; every other caller
+// waits under its own ctx and detaches with ctx.Err() if that fires
+// first. A caller never receives an error caused by another caller's
+// context: when a shared flight fails after its owner's ctx was
+// cancelled and the waiter's ctx is still live, the waiter retries
+// with a fresh flight of its own. A panicking builder re-panics in
+// every caller sharing its flight and re-arms the cell.
+func (c *Cell[T]) GetContext(ctx context.Context, build func(context.Context) (T, error)) (T, error) {
+	for {
+		c.mu.Lock()
+		if c.done {
+			v := c.val
+			c.mu.Unlock()
+			return v, nil
+		}
+		f := c.flight
+		if f == nil {
+			break // still holding mu: start our own flight below
+		}
 		// Someone else is building: share their one outcome.
 		c.mu.Unlock()
-		<-f.ch
+		select {
+		case <-f.ch:
+		case <-ctx.Done():
+			var zero T
+			return zero, ctx.Err()
+		}
 		if f.panicked {
 			panic(f.panicVal)
 		}
+		if f.err != nil && f.ctx.Err() != nil && ctx.Err() == nil {
+			continue // the flight died of its owner's cancellation, not ours
+		}
 		return f.val, f.err
 	}
-	f := &flight[T]{ch: make(chan struct{})}
+	f := &flight[T]{ch: make(chan struct{}), ctx: ctx}
 	c.flight = f
 	c.mu.Unlock()
 
@@ -86,7 +114,7 @@ func (c *Cell[T]) GetErr(build func() (T, error)) (T, error) {
 			panic(f.panicVal)
 		}
 	}()
-	f.val, f.err = build()
+	f.val, f.err = build(ctx)
 	completed = true
 	return f.val, f.err
 }

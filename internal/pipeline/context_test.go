@@ -238,3 +238,119 @@ func TestTaskNames(t *testing.T) {
 		t.Fatalf("TaskNames = %v", names)
 	}
 }
+
+// TestCellGetContextRetriesAfterOwnerCancel: a waiter whose own context
+// is live never inherits the cancellation of the flight's owner. The
+// owner gets its ctx error; the waiter re-runs the build and gets the
+// value, which is then memoized.
+func TestCellGetContextRetriesAfterOwnerCancel(t *testing.T) {
+	var c Cell[int]
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	var builds atomic.Int32
+	build := func(ctx context.Context) (int, error) {
+		if builds.Add(1) > 1 {
+			return 7, nil
+		}
+		close(started)
+		<-ctx.Done()
+		return 0, fmt.Errorf("interrupted: %w", ctx.Err())
+	}
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, err := c.GetContext(ctx, build)
+		ownerErr <- err
+	}()
+	<-started
+	waiter := make(chan int, 1)
+	go func() {
+		v, err := c.GetContext(context.Background(), build)
+		if err != nil {
+			t.Errorf("waiter inherited an error: %v", err)
+		}
+		waiter <- v
+	}()
+	time.Sleep(5 * time.Millisecond) // let the waiter join the owner's flight
+	cancel()
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	if v := <-waiter; v != 7 {
+		t.Fatalf("waiter got %d, want 7", v)
+	}
+	if b := builds.Load(); b != 2 {
+		t.Errorf("%d builds, want the cancelled one and the waiter's retry", b)
+	}
+	if v, err := c.GetContext(ctx, build); err != nil || v != 7 {
+		t.Fatalf("memoized read under a cancelled ctx: %d, %v", v, err)
+	}
+}
+
+// TestCellGetContextWaiterCancel: a waiter whose own context fires
+// detaches with its ctx error while the shared flight keeps running
+// for its owner, and the failure it saw is its own, not the flight's.
+func TestCellGetContextWaiterCancel(t *testing.T) {
+	var c Cell[string]
+	release := make(chan struct{})
+	started := make(chan struct{})
+	owner := make(chan string, 1)
+	go func() {
+		v, _ := c.GetContext(context.Background(), func(context.Context) (string, error) {
+			close(started)
+			<-release
+			return "built", nil
+		})
+		owner <- v
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, err := c.GetContext(ctx, func(context.Context) (string, error) {
+		t.Error("a waiter on a live flight ran its own builder")
+		return "", nil
+	}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter err = %v, want its own DeadlineExceeded", err)
+	}
+	close(release)
+	if v := <-owner; v != "built" {
+		t.Fatalf("owner got %q", v)
+	}
+}
+
+// TestCellGetContextSharesOwnFailure: a flight that fails while its
+// owner's ctx is live is a real failure: its waiters share it instead
+// of retrying.
+func TestCellGetContextSharesOwnFailure(t *testing.T) {
+	var c Cell[int]
+	boom := errors.New("boom")
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var builds atomic.Int32
+	build := func(context.Context) (int, error) {
+		if builds.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return 0, boom
+	}
+	go func() {
+		<-started
+		time.Sleep(100 * time.Millisecond) // let the waiter join the flight
+		close(release)
+	}()
+	owner := make(chan error, 1)
+	go func() {
+		_, err := c.GetContext(context.Background(), build)
+		owner <- err
+	}()
+	<-started
+	if _, err := c.GetContext(context.Background(), build); !errors.Is(err, boom) {
+		t.Fatalf("waiter err = %v, want the shared failure", err)
+	}
+	if err := <-owner; !errors.Is(err, boom) {
+		t.Fatalf("owner err = %v", err)
+	}
+	if b := builds.Load(); b != 1 {
+		t.Errorf("%d builds, want the one shared failing flight", b)
+	}
+}

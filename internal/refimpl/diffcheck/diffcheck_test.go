@@ -51,6 +51,15 @@ func TestSweepAlbers(t *testing.T) {
 	}
 }
 
+// TestSweepSharded runs one whole-study shard-count twin in this
+// package; the root package's TestShardedDiffcheckSweep runs seeds 0-2,
+// so this one takes the next seed.
+func TestSweepSharded(t *testing.T) {
+	if err := CheckSharded(3); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGoldenFixtures(t *testing.T) {
 	names := FixtureNames()
 	if len(names) < 3 {

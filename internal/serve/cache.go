@@ -24,12 +24,13 @@ type studyKey struct {
 // keyOf derives the cache key from a configuration. The hash covers
 // every exported Config field except Seed (which keys separately, so
 // operators can read it in logs); the unexported build context never
-// participates.
+// participates. Shards enters as the effective band count, so Shards 0
+// and 1 — the same one-band study — share one entry.
 func keyOf(cfg fivealarms.Config) studyKey {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%g|%d|%d|%d|%d|%q",
 		cfg.CellSizeM, cfg.Transceivers, cfg.MappedFiresPerSeason, cfg.Workers,
-		cfg.Shards, cfg.SnapshotPath)
+		max(cfg.Shards, 1), cfg.SnapshotPath)
 	return studyKey{seed: cfg.Seed, hash: h.Sum64()}
 }
 

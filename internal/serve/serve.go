@@ -170,8 +170,17 @@ func New(baseCtx context.Context, opts Options) (*Server, error) {
 		opts: opts,
 		cache: newStudyCache(baseCtx, opts.MaxStudies, bk,
 			func(ctx context.Context, cfg fivealarms.Config) (*fivealarms.Study, error) {
-				return fivealarms.NewStudyWithOptions(
+				st, err := fivealarms.NewStudyWithOptions(
 					fivealarms.WithConfig(cfg), fivealarms.WithContext(ctx))
+				if err != nil {
+					return nil, err
+				}
+				// Compute the fleet products under the build's context,
+				// admission and breaker, so no read handler simulates.
+				if err := st.Prepare(ctx); err != nil {
+					return nil, err
+				}
+				return st, nil
 			}),
 		metrics: metrics,
 		limiter: newLimiter(opts.MaxInFlight, opts.MaxQueue),
@@ -194,8 +203,9 @@ func New(baseCtx context.Context, opts Options) (*Server, error) {
 // Handler returns the server's root handler (the /v1 route set).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Warm builds the default-config study ahead of traffic so the first
-// request is a cache hit. Honors ctx like any other waiter.
+// Warm builds and prepares the default-config study ahead of traffic
+// (see fivealarms.Study.Prepare), so the first read is a cache hit that
+// runs no simulation. Honors ctx like any other waiter.
 func (s *Server) Warm(ctx context.Context) error {
 	_, err := s.cache.Get(ctx, s.opts.Config)
 	return err

@@ -638,12 +638,19 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestStudyKeyCoversShardingFields: the cache key must distinguish
-// configurations that differ only in the sharded-execution fields, so
-// a sharded or snapshot-loaded study can never be served from a
-// monolithic entry (the results are identical, but the operator asked
-// for a specific execution shape and ShardStats must reflect it).
+// configurations that build different studies — another band count or
+// a snapshot warm load — so ShardStats on a served study reflects what
+// the operator asked for. Shards 0 and 1 are the same one-band study
+// and must share one entry rather than build it twice.
 func TestStudyKeyCoversShardingFields(t *testing.T) {
 	base := keyOf(testCfg)
+	one := testCfg
+	one.Shards = 1
+	zero := testCfg
+	zero.Shards = 0
+	if keyOf(one) != keyOf(zero) {
+		t.Error("Shards 0 and 1 (both one band) key different entries")
+	}
 	sharded := testCfg
 	sharded.Shards = 4
 	if keyOf(sharded) == base {

@@ -75,13 +75,12 @@ func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
 
-// WithShards selects the sharded execution path (Config.Shards): the
-// transceiver-axis analyses — Tables 1-3, the hold-out validation, the
-// perimeter union masks — compute over n CONUS row bands with a bounded
-// per-shard transient footprint and stream-merge in band order. Results
-// are bit-identical to the monolithic build at any shard count (see
-// DESIGN.md §10); Study.ShardStats reports the shape. n <= 0 builds
-// monolithically.
+// WithShards sets the number of CONUS row bands the fleet overlay
+// behind Table 1 and the hold-out validation is computed over
+// (Config.Shards): one partial overlay per band, merged in band order.
+// Results are bit-identical at any band count (see DESIGN.md §10);
+// Study.ShardStats reports the per-band row counts. n of 0 or 1 is one
+// band: the whole fleet on the study's own analyzer.
 func WithShards(n int) Option {
 	return func(c *Config) { c.Shards = n }
 }

@@ -1,7 +1,7 @@
-// Sharded conformance driver: sweeps the diffcheck twins that pin the
-// sharded execution path to the monolithic build. External test package
-// on purpose — diffcheck imports fivealarms for its whole-study driver,
-// so an internal test importing diffcheck would cycle.
+// Band-count conformance sweep: runs the diffcheck twins that pin every
+// band count to the one-band reference. External test package on
+// purpose — diffcheck imports fivealarms for its whole-study checks, so
+// an internal test importing diffcheck would cycle.
 package fivealarms_test
 
 import (
@@ -10,27 +10,16 @@ import (
 	"fivealarms/internal/refimpl/diffcheck"
 )
 
-// TestShardedDiffcheckSweep runs the whole-study sharded twin: per
-// seed, one monolithic study against every (shard count, schedule)
-// pair, byte-identical tables/validation and fingerprint-identical
-// masks. Each seed builds nine studies, so the sweep stays small; the
-// mask-merge kernel below carries the wide adversarial sweep.
+// TestShardedDiffcheckSweep runs the whole-study band-count twin: per
+// seed, one one-band study against every (band count, schedule) pair,
+// byte-identical tables and validation. Each seed builds nine studies,
+// so the sweep stays small.
 func TestShardedDiffcheckSweep(t *testing.T) {
 	n := 3
 	if testing.Short() {
 		n = 1
 	}
 	if err := diffcheck.Sweep(n, diffcheck.CheckSharded); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedMaskMergeSweep runs the band-fill merge kernel against the
-// monolithic rasterizer over the generated adversarial fill cases —
-// perimeters straddling band boundaries at several shard counts,
-// including one-row bands.
-func TestShardedMaskMergeSweep(t *testing.T) {
-	if err := diffcheck.Sweep(200, diffcheck.CheckShardMaskMerge); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,21 +1,24 @@
 package fivealarms
 
-// Sharded-execution and snapshot warm-load tests: the out-of-core path
-// must be observationally identical to the monolithic build — same
-// tables, same validation, same masks, same downstream analyses — at
-// any shard count, with any mix of snapshot loading, and its ShardStats
-// must account the shape honestly. The cross-shard-count conformance
-// sweep lives in shard_conformance_test.go (external package, driving
+// Band-count and snapshot warm-load tests: the fleet overlay must be
+// observationally identical at any band count — same tables, same
+// validation, same masks, same downstream analyses — on either
+// schedule, with any mix of snapshot loading, and ShardStats must
+// report the bands honestly. The cross-band-count conformance sweep
+// lives in shard_conformance_test.go (external package, driving
 // refimpl/diffcheck).
 
 import (
+	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// shardedTwin builds the stress config with n shards (plus any extra
+// shardedTwin builds the stress config with n bands (plus any extra
 // options) and fails the test on error.
 func shardedTwin(t *testing.T, n int, extra ...Option) *Study {
 	t.Helper()
@@ -28,61 +31,75 @@ func shardedTwin(t *testing.T, n int, extra ...Option) *Study {
 }
 
 // TestShardedStudyMatchesMonolithic: every analysis fingerprint — the
-// sharded products and the monolithic analyses downstream of them —
-// is byte-identical between the monolithic build and sharded twins.
+// fleet products and the analyses downstream of them — is
+// byte-identical between the one-band study (the fleet overlay on the
+// study's own analyzer) and multi-band twins on either schedule.
 func TestShardedStudyMatchesMonolithic(t *testing.T) {
 	want := analysisFingerprints(mustStudy(stressCfg))
-	for _, n := range []int{1, 3, 5} {
-		got := analysisFingerprints(shardedTwin(t, n))
-		for name, w := range want {
-			if got[name] != w {
-				t.Errorf("n=%d: %s differs from monolithic:\nmonolithic:\n%s\nsharded:\n%s", n, name, w, got[name])
+	for _, n := range []int{3, 5} {
+		for _, serial := range []bool{false, true} {
+			var extra []Option
+			if serial {
+				extra = append(extra, WithWorkers(1))
+			}
+			got := analysisFingerprints(shardedTwin(t, n, extra...))
+			for name, w := range want {
+				if got[name] != w {
+					t.Errorf("n=%d serial=%v: %s differs from one band:\none band:\n%s\nbands:\n%s", n, serial, name, w, got[name])
+				}
 			}
 		}
 	}
 }
 
-// TestShardedSeasonAccessors: on a sharded study the memoized History
-// and Season2019 accessors serve the graph-built seasons — identical
-// to the monolithic simulations.
+// TestShardedSeasonAccessors: on a prepared multi-band study the
+// memoized History and Season2019 accessors serve the seasons Prepare
+// simulated — identical to a lazily simulated one-band study's.
 func TestShardedSeasonAccessors(t *testing.T) {
-	mono := mustStudy(stressCfg)
+	lazy := mustStudy(stressCfg)
 	sh := shardedTwin(t, 2)
-	if got, want := len(sh.History()), len(mono.History()); got != want {
-		t.Fatalf("sharded History has %d seasons, monolithic %d", got, want)
+	if err := sh.Prepare(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(sh.History()), len(lazy.History()); got != want {
+		t.Fatalf("prepared History has %d seasons, lazy %d", got, want)
 	}
 	for i, season := range sh.History() {
-		if season.Year != mono.History()[i].Year || len(season.Mapped) != len(mono.History()[i].Mapped) {
-			t.Errorf("season %d differs between sharded and monolithic history", i)
+		if season.Year != lazy.History()[i].Year || len(season.Mapped) != len(lazy.History()[i].Mapped) {
+			t.Errorf("season %d differs between prepared and lazy history", i)
 		}
 	}
-	if sh.Season2019().Year != mono.Season2019().Year {
-		t.Errorf("sharded 2019 season year %d", sh.Season2019().Year)
+	if sh.Season2019().Year != lazy.Season2019().Year || len(sh.Season2019().Mapped) != len(lazy.Season2019().Mapped) {
+		t.Errorf("prepared 2019 season differs from the lazy one")
 	}
 }
 
-// TestShardedMasksBitIdentical: the merged union masks match the
-// monolithic fills word for word (fingerprint, not just count).
+// TestShardedMasksBitIdentical: the union masks do not depend on the
+// band count or on Prepare — a prepared four-band study's masks match
+// a lazy one-band study's word for word (fingerprint, not just count).
 func TestShardedMasksBitIdentical(t *testing.T) {
-	mono := mustStudy(stressCfg)
+	lazy := mustStudy(stressCfg)
 	sh := shardedTwin(t, 4)
-	if got, want := sh.HistoryUnionMask().Fingerprint(), mono.HistoryUnionMask().Fingerprint(); got != want {
-		t.Errorf("history union fingerprint %#x != monolithic %#x", got, want)
+	if err := sh.Prepare(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := sh.Season2019UnionMask().Fingerprint(), mono.Season2019UnionMask().Fingerprint(); got != want {
-		t.Errorf("2019 union fingerprint %#x != monolithic %#x", got, want)
+	if got, want := sh.HistoryUnionMask().Fingerprint(), lazy.HistoryUnionMask().Fingerprint(); got != want {
+		t.Errorf("history union fingerprint %#x != one band %#x", got, want)
+	}
+	if got, want := sh.Season2019UnionMask().Fingerprint(), lazy.Season2019UnionMask().Fingerprint(); got != want {
+		t.Errorf("2019 union fingerprint %#x != one band %#x", got, want)
 	}
 }
 
-// TestShardedManyEmptyShards: more shards than grid rows leaves many
-// bands empty (zero rows, zero transceivers). Empty shards must build,
+// TestShardedManyEmptyShards: more bands than grid rows leaves many
+// bands empty (zero rows, zero transceivers). Empty bands must build,
 // merge as no-ops, and leave the results untouched.
 func TestShardedManyEmptyShards(t *testing.T) {
-	mono := mustStudy(stressCfg)
+	ref := mustStudy(stressCfg)
 	sh := shardedTwin(t, 300)
-	rows, peak := sh.ShardStats()
+	rows := sh.ShardStats()
 	if len(rows) != 300 {
-		t.Fatalf("ShardStats reported %d shards, want 300", len(rows))
+		t.Fatalf("ShardStats reported %d bands, want 300", len(rows))
 	}
 	total, empty := 0, 0
 	for _, r := range rows {
@@ -91,47 +108,49 @@ func TestShardedManyEmptyShards(t *testing.T) {
 			empty++
 		}
 	}
-	if total != mono.Data.Len() {
-		t.Errorf("shard rows sum to %d, fleet is %d", total, mono.Data.Len())
+	if total != ref.Data.Len() {
+		t.Errorf("band rows sum to %d, fleet is %d", total, ref.Data.Len())
 	}
 	if empty == 0 {
-		t.Errorf("expected empty shards at 300 bands over a %d-row grid", sh.World.Grid.NY)
+		t.Errorf("expected empty bands at 300 bands over a %d-row grid", sh.World.Grid.NY)
 	}
-	if peak <= 0 {
-		t.Errorf("peak footprint %d, want > 0", peak)
-	}
-	want := analysisFingerprints(mono)
+	want := analysisFingerprints(ref)
 	got := analysisFingerprints(sh)
 	for name, w := range want {
 		if got[name] != w {
-			t.Errorf("%s differs from monolithic with empty shards present", name)
+			t.Errorf("%s differs from one band with empty bands present", name)
 		}
 	}
 }
 
-// TestShardStats: a monolithic study reports (nil, 0); a sharded one
-// reports band-ordered row counts whose peak accounting is monotone in
-// the largest band, and the returned slice is a private copy.
+// TestShardStats: Shards 0 and 1 are both one band, reported as [N];
+// more bands report band-ordered row counts that sum to the fleet, and
+// the returned slice is the caller's own.
 func TestShardStats(t *testing.T) {
-	mono := mustStudy(stressCfg)
-	if rows, peak := mono.ShardStats(); rows != nil || peak != 0 {
-		t.Fatalf("monolithic ShardStats = (%v, %d), want (nil, 0)", rows, peak)
+	for _, n := range []int{0, 1} {
+		s := shardedTwin(t, n)
+		if rows := s.ShardStats(); len(rows) != 1 || rows[0] != s.Data.Len() {
+			t.Fatalf("Shards=%d: ShardStats = %v, want [%d]", n, rows, s.Data.Len())
+		}
 	}
 	sh := shardedTwin(t, 4)
-	rows, peak := sh.ShardStats()
-	if len(rows) != 4 || peak <= 0 {
-		t.Fatalf("sharded ShardStats = (%v, %d)", rows, peak)
+	rows := sh.ShardStats()
+	total := 0
+	for _, r := range rows {
+		total += r
+	}
+	if len(rows) != 4 || total != sh.Data.Len() {
+		t.Fatalf("four-band ShardStats = %v, fleet %d", rows, sh.Data.Len())
 	}
 	rows[0] = -1
-	again, _ := sh.ShardStats()
-	if again[0] == -1 {
+	if again := sh.ShardStats(); again[0] == -1 {
 		t.Fatal("ShardStats returned an aliased slice")
 	}
 }
 
 // TestSnapshotWarmLoadBitIdentical: a study warm-loaded from a snapshot
 // written by its own twin is indistinguishable from the cold build —
-// including under sharded execution on top of the warm load.
+// including with several bands on top of the warm load.
 func TestSnapshotWarmLoadBitIdentical(t *testing.T) {
 	cold := mustStudy(stressCfg)
 	path := filepath.Join(t.TempDir(), "fleet.fa5c")
@@ -191,6 +210,56 @@ func TestWriteSnapshotErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("partial snapshot left behind: stat err = %v", err)
+	}
+}
+
+// TestWriteSnapshotAtomic: an encoder that writes half its bytes and
+// then fails leaves the previous snapshot byte-identical and no
+// temporary file behind; a clean rewrite replaces it whole.
+func TestWriteSnapshotAtomic(t *testing.T) {
+	s := mustStudy(stressCfg)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.fa5c")
+	if err := s.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("encoder failed")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(before[:len(before)/2]); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("writeFileAtomic err = %v, want the encoder's", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatalf("failed write changed the previous snapshot: %d bytes, had %d", len(after), len(before))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only the snapshot", names)
+	}
+	if err := s.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(path); err != nil || string(again) != string(before) {
+		t.Fatalf("rewrite differs from the first write (err %v)", err)
 	}
 }
 

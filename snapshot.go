@@ -2,7 +2,9 @@ package fivealarms
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"fivealarms/internal/cellnet"
 	"fivealarms/internal/conus"
@@ -29,21 +31,42 @@ func loadSnapshotDataset(path string, w *conus.World) (*cellnet.Dataset, error) 
 // snapshot file, suitable for Config.SnapshotPath warm loads. A study
 // built from the written file with the same world configuration is
 // bit-identical to this one (the snapshot stores projected positions
-// exactly). The file is written atomically enough for local use: on
-// encode error the partial file is removed.
+// exactly). The file is replaced atomically: on any error the previous
+// file at path, if one exists, is left untouched.
 func (s *Study) WriteSnapshot(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating transceiver snapshot: %w", err)
-	}
-	if err := cellnet.StoreOf(s.Data.T).WriteSnapshot(f); err != nil {
-		f.Close()       //fivealarms:allow(errflow) best-effort cleanup; the write error above is the one worth returning
-		os.Remove(path) //fivealarms:allow(errflow) best-effort cleanup; the write error above is the one worth returning
+	if err := writeFileAtomic(path, cellnet.StoreOf(s.Data.T).WriteSnapshot); err != nil {
 		return fmt.Errorf("writing transceiver snapshot %s: %w", path, err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(path) //fivealarms:allow(errflow) best-effort cleanup; the close error above is the one worth returning
-		return fmt.Errorf("closing transceiver snapshot %s: %w", path, err)
-	}
 	return nil
+}
+
+// writeFileAtomic replaces path with what encode writes. encode writes
+// into a temporary file in path's directory, which is then synced,
+// closed and renamed over path, so a reader sees the old file or the
+// whole new one, never a torn write. On any failure the temporary file
+// is removed.
+func writeFileAtomic(path string, encode func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()           //fivealarms:allow(errflow) best-effort cleanup; err above is the one worth returning
+			os.Remove(f.Name()) //fivealarms:allow(errflow) best-effort cleanup; err above is the one worth returning
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = encode(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
