@@ -111,7 +111,8 @@ bench-serve:
 
 # Run the differential conformance kernel: refimpl self-tests, the
 # seeded diffcheck sweeps and golden fixtures, the per-package
-# conformance suites, and the study-layer cross-checks. A failure prints
+# conformance suites, the simulator fingerprint, and the study-layer
+# cross-checks. A failure prints
 # "diffcheck/<primitive> (seed N)"; rerun that Check function with the
 # seed to reproduce (DESIGN.md §5, "Testing conventions").
 diffcheck:
@@ -120,6 +121,7 @@ diffcheck:
 	$(GO) test -count=1 ./internal/geom ./internal/raster ./internal/rtree \
 		./internal/grid ./internal/proj -run 'Conformance|Golden'
 	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
+	$(GO) test -count=1 ./internal/wildfire -run 'Fingerprint'
 	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
 # Enforce the per-package coverage floors (COVERAGE_FLOOR.txt); pass a

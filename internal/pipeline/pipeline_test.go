@@ -200,7 +200,11 @@ func TestCellConcurrentFailureSharedThenRetried(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(5 * time.Millisecond)
+	// Heal only after some caller has observed a failure: a fixed sleep
+	// can elapse before any caller reaches the builder on a loaded box.
+	for failures.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
 	healed.Store(true)
 	wg.Wait()
 	if failures.Load() == 0 {

@@ -1,7 +1,6 @@
 package raster
 
 import (
-	"sort"
 	"sync"
 
 	"fivealarms/internal/geom"
@@ -70,41 +69,41 @@ func TraceContours(mask *BitGrid) geom.MultiPolygon {
 // rings are identical at any setting.
 func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 	g := mask.Geometry
+	if g.Cells() == 0 {
+		return nil
+	}
 	w := int32(g.NX + 1)
 
-	// out[vertex] holds up to two outgoing edges (checkerboard corners have
-	// exactly two).
-	out := make(map[int32][2]int32)
-	outN := make(map[int32]uint8)
-	addEdge := func(from, to int32) {
-		e := out[from]
-		n := outN[from]
-		if n < 2 {
-			e[n] = to
-			out[from] = e
-			outN[from] = n + 1
-		}
-	}
+	// The edge table is dense and pooled: sc.out[v] holds up to two
+	// outgoing edges of vertex v (checkerboard corners have exactly two)
+	// and sc.outN[v] how many remain.
+	sc := getContourScratch((g.NX + 1) * (g.NY + 1))
+	out, outN := sc.out, sc.outN
+	vmin, vmax := int32(len(outN)), int32(-1)
 
-	if g.Cells() > 0 {
-		bands := kernelBands(workers, g.Cells(), g.NY)
-		t := contourPool.Get().(*contourTask)
-		t.mask = mask
-		t.edges = t.edges[:0]
-		for b := 0; b < bands; b++ {
-			t.edges = append(t.edges, getWords(0))
-		}
-		runBands(t, g.NY, bands)
-		for _, bp := range t.edges {
-			for _, e := range *bp {
-				addEdge(int32(e>>32), int32(uint32(e)))
-			}
-			putWords(bp)
-		}
-		t.mask, t.edges = nil, t.edges[:0]
-		contourPool.Put(t)
+	bands := kernelBands(workers, g.Cells(), g.NY)
+	t := contourPool.Get().(*contourTask)
+	t.mask = mask
+	t.edges = t.edges[:0]
+	for b := 0; b < bands; b++ {
+		t.edges = append(t.edges, getWords(0))
 	}
-	if len(out) == 0 {
+	runBands(t, g.NY, bands)
+	for _, bp := range t.edges {
+		for _, e := range *bp {
+			from, to := int32(e>>32), int32(uint32(e))
+			if n := outN[from]; n < 2 {
+				out[from][n] = to
+				outN[from] = n + 1
+			}
+			vmin, vmax = min(vmin, from), max(vmax, from)
+		}
+		putWords(bp)
+	}
+	t.mask, t.edges = nil, t.edges[:0]
+	contourPool.Put(t)
+	if vmax < 0 {
+		contourScratchPool.Put(sc)
 		return nil
 	}
 
@@ -114,27 +113,29 @@ func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 		return geom.Point{X: g.MinX + float64(vx)*g.CellSize, Y: g.MinY + float64(vy)*g.CellSize}
 	}
 
-	// Deterministic iteration: trace loops starting from the smallest
-	// remaining vertex.
-	starts := make([]int32, 0, len(out))
-	for v := range out {
-		starts = append(starts, v)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-
 	takeEdge := func(from int32, incomingDir int32) (int32, bool) {
 		n := outN[from]
 		if n == 0 {
 			return 0, false
 		}
-		e := out[from]
+		e := &out[from]
 		pick := 0
 		if n == 2 {
 			// Ambiguous (checkerboard) vertex: prefer the left turn relative
 			// to the incoming direction so loops never cross themselves.
 			// Directions are encoded by the vertex delta: +1 (east), -1
 			// (west), +w (north), -w (south). Left of east is north, etc.
-			left := map[int32]int32{1: w, w: -1, -1: -w, -w: 1}[incomingDir]
+			var left int32
+			switch incomingDir {
+			case 1:
+				left = w
+			case w:
+				left = -1
+			case -1:
+				left = -w
+			case -w:
+				left = 1
+			}
 			if e[1]-from == left {
 				pick = 1
 			}
@@ -145,18 +146,20 @@ func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 			e[0] = e[1]
 		}
 		outN[from] = n - 1
-		out[from] = e
-		if n-1 == 0 {
-			delete(out, from)
-		}
 		return to, true
 	}
 
+	// Deterministic iteration: trace loops starting from the smallest
+	// remaining vertex. Every added edge lies on a closed loop, so the
+	// scan consumes the whole table and leaves outN zeroed for the pool
+	// (a panicking trace never returns its scratch).
 	var outers []geom.Ring
+	var outerArea []float64
 	var holes []geom.Ring
-	for _, start := range starts {
+	ring := sc.ring[:0]
+	for start := vmin; start <= vmax; start++ {
 		for outN[start] > 0 {
-			var ring []geom.Point
+			ring = ring[:0]
 			cur := start
 			var dir int32
 			for {
@@ -178,13 +181,16 @@ func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 			if !r.Valid() {
 				continue
 			}
-			if r.IsCCW() {
+			if a := r.SignedArea(); a > 0 {
 				outers = append(outers, r)
+				outerArea = append(outerArea, a)
 			} else {
 				holes = append(holes, r)
 			}
 		}
 	}
+	sc.ring = ring[:0]
+	contourScratchPool.Put(sc)
 
 	// Assign each hole to the smallest containing outer ring. Probes pay
 	// a bbox reject first; large outer rings are prepared lazily on their
@@ -225,7 +231,8 @@ func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 				in = outers[i].ContainsPoint(probe)
 			}
 			if in {
-				a := outers[i].Area()
+				// Ring.Area is |SignedArea|, and outers wind CCW.
+				a := outerArea[i]
 				if bestIdx == -1 || a < bestArea {
 					bestIdx = i
 					bestArea = a
@@ -239,22 +246,51 @@ func TraceContoursWorkers(mask *BitGrid, workers int) geom.MultiPolygon {
 	return polys
 }
 
-// compressCollinear removes intermediate vertices along straight runs of a
-// rectilinear ring.
+// contourScratch is the tracer's pooled per-call state: the dense
+// per-vertex edge table and the ring under construction.
+type contourScratch struct {
+	out  [][2]int32
+	outN []uint8
+	ring []geom.Point
+}
+
+var contourScratchPool = sync.Pool{New: func() any { return new(contourScratch) }}
+
+// getContourScratch returns scratch with an edge table for nv vertices.
+// outN comes back all zero: a completed trace consumes every edge, and
+// a fresh or grown table is cleared here.
+func getContourScratch(nv int) *contourScratch {
+	sc := contourScratchPool.Get().(*contourScratch)
+	if cap(sc.out) < nv || cap(sc.outN) < nv {
+		sc.out = make([][2]int32, nv)
+		sc.outN = make([]uint8, nv)
+	}
+	sc.out, sc.outN = sc.out[:nv], sc.outN[:nv]
+	return sc
+}
+
+// compressCollinear returns a copy of a rectilinear ring without the
+// intermediate vertices along straight runs.
 func compressCollinear(r geom.Ring) geom.Ring {
 	n := len(r)
 	if n < 3 {
-		return r
+		return append(geom.Ring(nil), r...)
 	}
-	out := make(geom.Ring, 0, n)
+	corner := func(i int) bool {
+		v1 := r[i].Sub(r[(i+n-1)%n])
+		v2 := r[(i+1)%n].Sub(r[i])
+		return v1.Cross(v2) != 0 //fivealarms:allow(floateq) exact collinearity test; marching-squares vertices are grid-exact
+	}
+	k := 0
 	for i := 0; i < n; i++ {
-		prev := r[(i+n-1)%n]
-		cur := r[i]
-		next := r[(i+1)%n]
-		v1 := cur.Sub(prev)
-		v2 := next.Sub(cur)
-		if v1.Cross(v2) != 0 { //fivealarms:allow(floateq) exact collinearity test; marching-squares vertices are grid-exact
-			out = append(out, cur)
+		if corner(i) {
+			k++
+		}
+	}
+	out := make(geom.Ring, 0, k)
+	for i := 0; i < n; i++ {
+		if corner(i) {
+			out = append(out, r[i])
 		}
 	}
 	return out

@@ -40,6 +40,14 @@ func TestParallelKernelConformance(t *testing.T) {
 	}
 }
 
+// TestContourConformance sweeps the dense-table contour tracer against
+// the map-based refimpl tracer: rings deeply equal, no carve-out.
+func TestContourConformance(t *testing.T) {
+	if err := diffcheck.Sweep(150, diffcheck.CheckContour); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRasterGoldens rasterizes the hand-authored fixtures and runs the
 // fill and distance twins over the result.
 func TestRasterGoldens(t *testing.T) {
@@ -156,6 +164,9 @@ func FuzzRasterDiff(f *testing.F) {
 			t.Fatal(err)
 		}
 		if err := diffcheck.CheckParallel(seed); err != nil {
+			t.Fatal(err)
+		}
+		if err := diffcheck.CheckContour(seed); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -3,6 +3,7 @@ package raster
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // The tiled execution model: every raster kernel decomposes its grid
@@ -57,6 +58,14 @@ func kernelBands(workers, cells, items int) int {
 	return workers
 }
 
+// bandGoroutines counts the band goroutines runBands has started.
+var bandGoroutines atomic.Int64
+
+// BandGoroutines returns how many band goroutines the raster kernels
+// have started in this process. A kernel call that leaves it unchanged
+// ran entirely on its caller's goroutine.
+func BandGoroutines() int64 { return bandGoroutines.Load() }
+
 // runBands executes t over [0, n) split into bands contiguous ranges:
 // band b covers [b*n/bands, (b+1)*n/bands). Band 0 runs inline on the
 // calling goroutine and bands 1..bands-1 on goroutines started here;
@@ -69,6 +78,7 @@ func runBands(t bandTask, n, bands int) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(bands - 1)
+	bandGoroutines.Add(int64(bands - 1))
 	for b := 1; b < bands; b++ {
 		lo, hi := bandRange(b, n, bands)
 		go func() {

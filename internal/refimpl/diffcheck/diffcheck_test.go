@@ -3,6 +3,10 @@ package diffcheck
 import (
 	"math"
 	"testing"
+
+	"fivealarms/internal/geom"
+	"fivealarms/internal/raster"
+	"fivealarms/internal/refimpl"
 )
 
 // The package's own tests run broad seed sweeps of every driver; the
@@ -31,6 +35,67 @@ func TestSweepParallelKernels(t *testing.T) {
 	if err := Sweep(150, CheckParallel); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestSweepContour(t *testing.T) {
+	if err := Sweep(300, CheckContour); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestContourSweepCoverage pins what the contour sweep exercises: empty
+// masks, checkerboard corners (vertices with two outgoing edges) and
+// nested holes (an island polygon inside another polygon's hole).
+func TestContourSweepCoverage(t *testing.T) {
+	var empty, checker, nested int
+	for seed := int64(0); seed < 300; seed++ {
+		for _, gen := range []func(int64) (*raster.BitGrid, string){GenMaskCase, GenContourMask} {
+			mask, _ := gen(seed)
+			if mask.Count() == 0 {
+				empty++
+			}
+			if hasCheckerboardCorner(mask) {
+				checker++
+			}
+			if hasNestedHole(refimpl.TraceContours(mask)) {
+				nested++
+			}
+		}
+	}
+	if empty == 0 || checker == 0 || nested == 0 {
+		t.Fatalf("contour sweep covers %d empty masks, %d with checkerboard corners, %d with nested holes; want all > 0",
+			empty, checker, nested)
+	}
+}
+
+// hasCheckerboardCorner reports whether some grid vertex touches exactly
+// two diagonally opposite set cells.
+func hasCheckerboardCorner(m *raster.BitGrid) bool {
+	for vy := 1; vy < m.NY; vy++ {
+		for vx := 1; vx < m.NX; vx++ {
+			sw, se := m.Get(vx-1, vy-1), m.Get(vx, vy-1)
+			nw, ne := m.Get(vx-1, vy), m.Get(vx, vy)
+			if sw == ne && se == nw && sw != se {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// hasNestedHole reports whether some polygon's exterior lies inside
+// another polygon's hole.
+func hasNestedHole(mp geom.MultiPolygon) bool {
+	for _, outer := range mp {
+		for _, h := range outer.Holes {
+			for _, inner := range mp {
+				if refimpl.RingContains(h, inner.Exterior.Centroid()) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func TestSweepBoxes(t *testing.T) {

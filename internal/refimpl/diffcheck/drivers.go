@@ -397,6 +397,24 @@ func CheckParallel(seed int64) error {
 	return nil
 }
 
+// CheckContour runs one seeded contour scenario: the optimized tracer,
+// serial and banded, against the map-based refimpl twin on the
+// GenMaskCase mask and on the GenContourMask mask. The rings must be
+// deeply equal — same rings, same vertex order, same hole assignment.
+func CheckContour(seed int64) error {
+	for _, gen := range []func(int64) (*raster.BitGrid, string){GenMaskCase, GenContourMask} {
+		mask, desc := gen(seed)
+		ref := refimpl.TraceContours(mask)
+		for _, w := range []int{1, 3} {
+			if opt := raster.TraceContoursWorkers(mask, w); !multiPolygonEqual(opt, ref) {
+				return divergef("contour", seed, "%s: workers=%d: traced %d polys, refimpl %d (rings differ) on %v",
+					desc, w, len(opt), len(ref), mask.Geometry)
+			}
+		}
+	}
+	return nil
+}
+
 // firstMaskDiff returns the first differing cell of two same-shape
 // masks in row-major order; ok is true when the masks are identical.
 func firstMaskDiff(a, b *raster.BitGrid) (cx, cy int, ok bool) {
@@ -443,7 +461,7 @@ func multiPolygonEqual(a, b geom.MultiPolygon) bool {
 // targets and the study-level conformance test call.
 func CheckAll(seed int64) error {
 	for _, check := range []func(int64) error{
-		CheckContainment, CheckFill, CheckDistance, CheckBoxes, CheckPointIndex, CheckAlbers, CheckParallel,
+		CheckContainment, CheckFill, CheckDistance, CheckBoxes, CheckPointIndex, CheckAlbers, CheckParallel, CheckContour,
 	} {
 		if err := check(seed); err != nil {
 			return err

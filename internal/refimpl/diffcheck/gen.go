@@ -290,6 +290,63 @@ func GenMaskCase(seed int64) (*raster.BitGrid, string) {
 	}
 }
 
+// GenContourMask derives one contour-tracing mask from the seed: the
+// tracer's structured worst cases that random densities rarely reach —
+// checkerboards (every interior vertex is an ambiguous two-edge
+// corner), concentric annuli (holes holding islands holding holes) and
+// dense speckle (many small holes in one component).
+func GenContourMask(seed int64) (*raster.BitGrid, string) {
+	rng := rand.New(rand.NewSource(seed ^ 0x0c0a7041e))
+	g := raster.Geometry{
+		MinX:     rng.Float64() * 100,
+		MinY:     rng.Float64() * 100,
+		CellSize: []float64{1, 30, 270}[rng.Intn(3)],
+		NX:       1 + rng.Intn(32),
+		NY:       1 + rng.Intn(32),
+	}
+	mask := raster.NewBitGrid(g)
+	switch seed % 3 {
+	case 0:
+		// A checkerboard patch inside a random sub-rectangle.
+		x0, y0 := rng.Intn(g.NX), rng.Intn(g.NY)
+		x1, y1 := x0+rng.Intn(g.NX-x0)+1, y0+rng.Intn(g.NY-y0)+1
+		for cy := y0; cy < y1; cy++ {
+			for cx := x0; cx < x1; cx++ {
+				mask.Set(cx, cy, (cx+cy)%2 == 0)
+			}
+		}
+		return mask, "checkerboard"
+	case 1:
+		// Concentric square annuli around a random center: every other
+		// Chebyshev ring is set, so each hole holds an island.
+		ccx, ccy := rng.Intn(g.NX), rng.Intn(g.NY)
+		for cy := 0; cy < g.NY; cy++ {
+			for cx := 0; cx < g.NX; cx++ {
+				d := max(abs(cx-ccx), abs(cy-ccy))
+				mask.Set(cx, cy, d%2 == 0)
+			}
+		}
+		return mask, "nested annuli"
+	default:
+		density := 0.6 + rng.Float64()*0.3
+		for cy := 0; cy < g.NY; cy++ {
+			for cx := 0; cx < g.NX; cx++ {
+				if rng.Float64() < density {
+					mask.Set(cx, cy, true)
+				}
+			}
+		}
+		return mask, "dense speckle"
+	}
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
 // BoxesCase is one R-tree scenario: an item set (with the bulk-load
 // degeneracies: duplicates, colinear centers, zero-area boxes, nesting),
 // a fanout, and query boxes plus probe points.

@@ -165,3 +165,51 @@ func TestAlbersSelfConsistency(t *testing.T) {
 		}
 	}
 }
+
+func TestTraceContoursHandCases(t *testing.T) {
+	g := raster.Geometry{MinX: 0, MinY: 0, CellSize: 1, NX: 12, NY: 12}
+	if mp := TraceContours(raster.NewBitGrid(g)); mp != nil {
+		t.Errorf("empty mask traced to %v", mp)
+	}
+
+	// A 9x9 block with a 5x5 hole and a one-cell island in the hole's
+	// corner. (Holes are assigned by their centroid, so an island on the
+	// hole's centroid would claim the hole: a known quirk both tracers
+	// share.)
+	mask := raster.NewBitGrid(g)
+	for cy := 1; cy <= 9; cy++ {
+		for cx := 1; cx <= 9; cx++ {
+			hole := cx >= 3 && cx <= 7 && cy >= 3 && cy <= 7
+			mask.Set(cx, cy, !hole || (cx == 4 && cy == 4))
+		}
+	}
+	mp := TraceContours(mask)
+	if len(mp) != 2 {
+		t.Fatalf("polygons = %d, want 2 (block and island)", len(mp))
+	}
+	block, island := mp[0], mp[1]
+	if len(block.Holes) != 1 || len(island.Holes) != 0 {
+		t.Fatalf("holes = %d and %d, want 1 and 0", len(block.Holes), len(island.Holes))
+	}
+	if got := block.Area(); got != 81-25 {
+		t.Errorf("block area = %v, want 56", got)
+	}
+	if got := island.Area(); got != 1 {
+		t.Errorf("island area = %v, want 1", got)
+	}
+	if len(block.Exterior) != 4 || len(block.Holes[0]) != 4 {
+		t.Errorf("rectangular rings not compressed to 4 vertices: %d and %d", len(block.Exterior), len(block.Holes[0]))
+	}
+	if !block.Exterior.IsCCW() || block.Holes[0].IsCCW() {
+		t.Error("exteriors must wind CCW and holes CW")
+	}
+
+	// Two cells touching only at a corner are two polygons (the
+	// checkerboard vertex turns left and never crosses itself).
+	diag := raster.NewBitGrid(g)
+	diag.Set(2, 2, true)
+	diag.Set(3, 3, true)
+	if mp := TraceContours(diag); len(mp) != 2 {
+		t.Fatalf("diagonal pair traced to %d polygons, want 2", len(mp))
+	}
+}

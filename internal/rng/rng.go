@@ -246,6 +246,54 @@ func (s *Source) Categorical(weights []float64) int {
 	return len(weights) - 1
 }
 
+// Cumulative is a weight vector prepared for repeated categorical
+// draws: its prefix sums, built once, so each draw is a binary search
+// instead of Categorical's two passes over the weights.
+type Cumulative struct {
+	cum []float64 // cum[i] = running sum of the positive weights in [0, i]
+}
+
+// NewCumulative prepares weights for CategoricalFrom. The sums are the
+// same additions, in the same order, that Categorical performs, so the
+// draws are bit-for-bit Categorical's.
+func NewCumulative(weights []float64) Cumulative {
+	cum := make([]float64, len(weights))
+	var acc float64
+	for i, w := range weights {
+		if w > 0 {
+			acc += w
+		}
+		cum[i] = acc
+	}
+	return Cumulative{cum: cum}
+}
+
+// CategoricalFrom returns exactly what Categorical returns for the
+// weights c was built from, consuming the same draws: none when the
+// total weight is zero, otherwise one Float64. The answer is the first
+// index whose running sum exceeds u; a non-positive weight never adds to
+// the sum, so that index always carries positive weight.
+func (s *Source) CategoricalFrom(c Cumulative) int {
+	n := len(c.cum)
+	if n == 0 || c.cum[n-1] <= 0 {
+		return 0
+	}
+	u := s.Float64() * c.cum[n-1]
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < c.cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == n {
+		return n - 1 // u rounded up to the total
+	}
+	return lo
+}
+
 // Shuffle permutes the first n elements using the supplied swap function
 // (Fisher-Yates).
 func (s *Source) Shuffle(n int, swap func(i, j int)) {

@@ -234,6 +234,66 @@ func TestCategorical(t *testing.T) {
 	}
 }
 
+// TestCategoricalFromMatchesCategorical draws from two identically
+// seeded sources, one through Categorical and one through the prebuilt
+// prefix sums, and requires the same index on every draw and the same
+// stream position afterwards.
+func TestCategoricalFromMatchesCategorical(t *testing.T) {
+	const d = 4.9e-324 // smallest subnormal: u*total rounds up to total
+	fixed := [][]float64{
+		nil,
+		{},
+		{5},
+		{0},
+		{-2},
+		{0, 0, 0},
+		{-1, 0, 2},
+		{3, -1, 0, 0, 4, 0},
+		{d, d},
+		{0, d, -d, d},
+		{1, math.Inf(1), 2},
+		{1e300, 1e300, 1e300},
+		{1e-300, 1, 1e-300},
+	}
+	gen := New(91)
+	cases := fixed
+	for i := 0; i < 300; i++ {
+		w := make([]float64, 1+gen.Intn(40))
+		for j := range w {
+			switch gen.Intn(4) {
+			case 0:
+				w[j] = 0
+			case 1:
+				w[j] = -gen.Float64()
+			default:
+				w[j] = gen.Float64() * math.Pow(10, float64(gen.Intn(12)-6))
+			}
+		}
+		cases = append(cases, w)
+	}
+	roundedToTotal := 0
+	for ci, w := range cases {
+		c := NewCumulative(w)
+		a, b := New(uint64(ci)+1), New(uint64(ci)+1)
+		for k := 0; k < 200; k++ {
+			probe := *b
+			want := a.Categorical(w)
+			if got := b.CategoricalFrom(c); got != want {
+				t.Fatalf("case %d %v draw %d: CategoricalFrom = %d, Categorical = %d", ci, w, k, got, want)
+			}
+			if n := len(c.cum); n > 0 && c.cum[n-1] > 0 && probe.Float64()*c.cum[n-1] >= c.cum[n-1] {
+				roundedToTotal++
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("case %d %v: the two draws consumed different amounts of the stream", ci, w)
+		}
+	}
+	if roundedToTotal == 0 {
+		t.Fatal("no draw exercised u*total rounding to the total")
+	}
+}
+
 func TestPerm(t *testing.T) {
 	s := New(41)
 	p := s.Perm(20)

@@ -171,15 +171,17 @@ func (c SeasonConfig) withDefaults() SeasonConfig {
 type Simulator struct {
 	World  *conus.World
 	Hazard *whp.Map
-	// ignitionPool caches candidate ignition cells weighted by hazard.
-	pool   []geom.Point
-	poolWt []float64
+	// pool caches candidate ignition cells; poolCum holds their hazard
+	// weights as prefix sums for the per-fire ignition draw.
+	pool    []geom.Point
+	poolCum rng.Cumulative
 }
 
 // NewSimulator prepares a simulator. The hazard map supplies the fuel
 // model; its raster resolution does not constrain fire resolution.
 func NewSimulator(w *conus.World, hazard *whp.Map) *Simulator {
 	s := &Simulator{World: w, Hazard: hazard}
+	var poolWt []float64
 	g := w.Grid
 	for cy := 0; cy < g.NY; cy++ {
 		for cx := 0; cx < g.NX; cx++ {
@@ -201,9 +203,10 @@ func NewSimulator(w *conus.World, hazard *whp.Map) *Simulator {
 			// and along transportation corridors (Saddle Ridge ignited
 			// under a transmission tower beside a freeway).
 			human := 0.25 + math.Min(3*w.UrbanAt(p), 1.0) + math.Exp(-w.RoadDistAt(p)/15000)
-			s.poolWt = append(s.poolWt, h*h*human)
+			poolWt = append(poolWt, h*h*human)
 		}
 	}
+	s.poolCum = rng.NewCumulative(poolWt)
 	return s
 }
 
@@ -250,7 +253,7 @@ func (s *Simulator) Season(cfg SeasonConfig) *Season {
 		if len(s.pool) == 0 {
 			break
 		}
-		ign := s.pool[src.Categorical(s.poolWt)]
+		ign := s.pool[src.CategoricalFrom(s.poolCum)]
 		// Jitter inside the coarse cell.
 		cell := s.World.Grid.CellSize
 		ign = geom.Point{
@@ -334,31 +337,35 @@ func (s *Simulator) growFire(src *rng.Source, name string, year int,
 	return s.growFireWind(src, name, year, ign, targetAcres, windDeg, defaultWindStrength, id)
 }
 
-// growFireWind burns a single fire to its target size and returns it, or
-// nil when the ignition point carries no fuel at all.
-func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
-	ign geom.Point, targetAcres, windDeg, windStrength float64, id int) *Fire {
-
+// fireWindow returns the local raster a fire of targetAcres igniting at
+// ign grows over — a generous margin around the expected final radius,
+// asymmetric growth included — and the burned-cell count that reaches
+// the target.
+func fireWindow(ign geom.Point, targetAcres float64) (raster.Geometry, int) {
 	if targetAcres < 1 {
 		targetAcres = 1
 	}
 	targetM2 := targetAcres * geom.SquareMetersPerAcre
-
-	// Local window: generous margin around the expected final radius,
-	// asymmetric growth included.
 	radius := math.Sqrt(targetM2/math.Pi) * 3.5
 	cellSize := clampF(math.Sqrt(targetM2)/45, 90, 2500)
 	g := raster.NewGeometry(geom.BBox{
 		MinX: ign.X - radius, MinY: ign.Y - radius,
 		MaxX: ign.X + radius, MaxY: ign.Y + radius,
 	}, cellSize)
-	targetCells := int(targetM2/g.CellArea()) + 1
+	return g, int(targetM2/g.CellArea()) + 1
+}
 
-	// Precompute fuel over the window lazily (cache on demand).
-	fuel := make([]float64, g.Cells())
-	for i := range fuel {
-		fuel[i] = -1
-	}
+// growFireWind burns a single fire to its target size and returns it, or
+// nil when the ignition point carries no fuel at all.
+func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
+	ign geom.Point, targetAcres, windDeg, windStrength float64, id int) *Fire {
+	g, targetCells := fireWindow(ign, targetAcres)
+
+	// Evaluate fuel over the window lazily (cache on demand), in pooled
+	// window-sized scratch.
+	sc := getFireScratch(g.Cells())
+	defer fireScratchPool.Put(sc)
+	fuel, seen := sc.fuel, sc.seen
 	fuelAt := func(cx, cy int) float64 {
 		i := cy*g.NX + cx
 		if fuel[i] < 0 {
@@ -367,17 +374,31 @@ func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
 		return fuel[i]
 	}
 
-	windRad := windDeg * math.Pi / 180
-	wx, wy := math.Cos(windRad), math.Sin(windRad)
-
-	burned := raster.NewBitGrid(g)
 	cx0, cy0, ok := g.CellOf(ign)
 	if !ok || fuelAt(cx0, cy0) <= 0 {
 		return nil
 	}
 
-	var h frontierHeap
-	seen := make([]bool, g.Cells())
+	// The wind factor and step length of each neighbor direction depend
+	// only on (dx, dy) within a fire: computed once here, from the same
+	// arguments the race would use, so every rate keeps its bits.
+	windRad := windDeg * math.Pi / 180
+	wx, wy := math.Cos(windRad), math.Sin(windRad)
+	var windFactor, stepLen [3][3]float64
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			// Wind alignment: spreading downwind is faster.
+			norm := math.Sqrt(float64(dx*dx + dy*dy))
+			align := (float64(dx)*wx + float64(dy)*wy) / norm
+			windFactor[dy+1][dx+1] = math.Exp(windStrength * align)
+			stepLen[dy+1][dx+1] = norm
+		}
+	}
+
+	h := sc.heap
 	push := func(cx, cy int, t float64) {
 		if cx < 0 || cy < 0 || cx >= g.NX || cy >= g.NY {
 			return
@@ -391,6 +412,8 @@ func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
 	}
 	push(cx0, cy0, 0)
 
+	burned := raster.AcquireBitGrid(g)
+	defer raster.ReleaseBitGrid(burned)
 	nBurned := 0
 	nonburnableBurned := 0
 	for len(h) > 0 && nBurned < targetCells {
@@ -420,20 +443,20 @@ func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
 				if nf <= 0 {
 					continue
 				}
-				// Wind alignment: spreading downwind is faster.
-				norm := math.Sqrt(float64(dx*dx + dy*dy))
-				align := (float64(dx)*wx + float64(dy)*wy) / norm
-				rate := nf * math.Exp(windStrength*align)
-				dt := src.Exponential(1/rate) * norm
+				rate := nf * windFactor[dy+1][dx+1]
+				dt := src.Exponential(1/rate) * stepLen[dy+1][dx+1]
 				push(ncx, ncy, it.time+dt)
 			}
 		}
 	}
+	sc.heap = h[:0]
 	if nBurned == 0 {
 		return nil
 	}
 
-	mp := raster.TraceContours(burned)
+	// One serial trace: a history already runs one season per core, so
+	// band goroutines here would only oversubscribe it.
+	mp := raster.TraceContoursWorkers(burned, 1)
 	acres := geom.Acres(mp.Area())
 	start := 120 + src.Intn(150) // fire season day-of-year
 	duration := 2 + int(math.Sqrt(acres)/8)
@@ -452,6 +475,38 @@ func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
 		WindDeg:      windDeg,
 		prep:         &firePrep{},
 	}
+}
+
+// fireScratch is one fire's window-sized working state, pooled across
+// fires (a window holds ~30k cells of which a few percent burn, so
+// fresh buffers per fire dominated the simulator's allocation): the
+// lazily evaluated fuel cache (-1 = not yet evaluated), the frontier's
+// seen flags and the frontier heap.
+type fireScratch struct {
+	fuel []float64
+	seen []bool
+	heap frontierHeap
+}
+
+var fireScratchPool = sync.Pool{New: func() any { return new(fireScratch) }}
+
+// getFireScratch returns scratch for a cells-sized window with every
+// fuel entry unevaluated, no cell seen and an empty heap.
+func getFireScratch(cells int) *fireScratch {
+	sc := fireScratchPool.Get().(*fireScratch)
+	if cap(sc.fuel) < cells {
+		sc.fuel = make([]float64, cells)
+	}
+	if cap(sc.seen) < cells {
+		sc.seen = make([]bool, cells)
+	}
+	sc.fuel, sc.seen = sc.fuel[:cells], sc.seen[:cells]
+	for i := range sc.fuel {
+		sc.fuel[i] = -1
+	}
+	clear(sc.seen)
+	sc.heap = sc.heap[:0]
+	return sc
 }
 
 func clampF(v, lo, hi float64) float64 {

@@ -341,6 +341,7 @@ func TestGrowFireOcean(t *testing.T) {
 
 func BenchmarkGrowFire10k(b *testing.B) {
 	ign := testWorld.ToXY(geom.Point{X: -120.8, Y: 39.3})
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = testSim.growFire(newTestSource(uint64(i)), "Bench", 2019, ign, 10000, 45, 0)
 	}
@@ -348,6 +349,7 @@ func BenchmarkGrowFire10k(b *testing.B) {
 
 func BenchmarkSeason(b *testing.B) {
 	cfg := SeasonConfig{Seed: 5, Year: 2010, TotalFires: 50000, TotalAcres: 4e6, MappedFires: 20}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = testSim.Season(cfg)
 	}
