@@ -111,7 +111,8 @@ bench-serve:
 
 # Run the differential conformance kernel: refimpl self-tests, the
 # seeded diffcheck sweeps and golden fixtures, the per-package
-# conformance suites, the simulator fingerprint, and the study-layer
+# conformance suites, the simulator fingerprint, the road-index and
+# fused-lookup twins (conus, whp), and the study-layer
 # cross-checks. A failure prints
 # "diffcheck/<primitive> (seed N)"; rerun that Check function with the
 # seed to reproduce (DESIGN.md §5, "Testing conventions").
@@ -122,6 +123,8 @@ diffcheck:
 		./internal/grid ./internal/proj -run 'Conformance|Golden'
 	$(GO) test -count=1 ./internal/risk -run 'CrossCheck'
 	$(GO) test -count=1 ./internal/wildfire -run 'Fingerprint'
+	$(GO) test -count=1 ./internal/conus -run 'RoadIndexMatchesMapBuckets'
+	$(GO) test -count=1 ./internal/whp -run 'FusedLookupMatchesSeparateLookups'
 	$(GO) test -count=1 . -run 'SeedDeterminism|Metamorphic|ShardedDiffcheck'
 
 # Enforce the per-package coverage floors (COVERAGE_FLOOR.txt); pass a

@@ -76,12 +76,14 @@ type Config struct {
 	// MappedFiresPerSeason bounds fire-simulation cost. Defaults to 40.
 	MappedFiresPerSeason int
 	// Workers bounds the study's parallelism: the layer build graph, the
-	// historical season simulations and joins, and the tiled raster
-	// kernels (perimeter-union fills, distance transforms, dilations,
-	// contour tracing). 0 selects GOMAXPROCS; 1 runs everything on the
+	// WHP raster builds (national and the fine §3.8 window), the
+	// historical season simulations and joins, and the perimeter-union
+	// raster kernels. 0 selects GOMAXPROCS; 1 runs those stages on the
 	// serial schedule; n > 1 caps each stage at n concurrent workers.
-	// Results are bit-identical at any setting; only wall-clock time
-	// changes.
+	// Two stages still fan out over GOMAXPROCS at any setting: the risk
+	// analyzer's one-off per-transceiver classification and the very-high
+	// dilation of the §3.8 extension. Results are bit-identical at any
+	// setting; only wall-clock time changes.
 	Workers int
 	// Shards is the number of CONUS row bands the fleet overlay behind
 	// Table 1 and the hold-out validation is computed over: one partial
@@ -255,7 +257,7 @@ func build(cfg Config) (*Study, error) {
 		return nil
 	})
 	g.Add("whp", func() error {
-		s.WHP = whp.Build(s.World, s.World.Grid, whp.Config{})
+		s.WHP = whp.Build(s.World, s.World.Grid, whp.Config{Workers: cfg.Workers})
 		return nil
 	}, "world")
 	g.Add("cellnet", func() error {

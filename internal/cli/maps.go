@@ -119,6 +119,7 @@ func metroLayer(study *fivealarms.Study, opt MapOptions) (*raster.ClassGrid, ras
 		Thresholds:         study.WHP.Cfg.Thresholds,
 		NoiseScaleM:        study.WHP.Cfg.NoiseScaleM,
 		RoadBufferM:        400,
+		Workers:            study.WHP.Cfg.Workers,
 	})
 	out := fine.Classes.Clone()
 	for _, ti := range study.Data.Index.Query(g.Bounds(), nil) {

@@ -83,8 +83,12 @@ type World struct {
 
 	// Road centerlines and a per-cell bucket of nearby segment indices,
 	// so RoadDistAt can return exact sub-cell distances near corridors.
+	// The buckets are stored dense (compressed sparse rows): cell i's
+	// segments are segList[segStart[i]:segStart[i+1]], in the order the
+	// rasterizer registered them.
 	roadSegs []roadSegment
-	cellSegs map[int32][]int32
+	segStart []int32 // NX*NY+1 offsets into segList
+	segList  []int32
 }
 
 type roadSegment struct{ a, b geom.Point }
@@ -203,7 +207,7 @@ func (w *World) buildUrbanField() {
 // rasterizes the segments.
 func (w *World) buildRoads() {
 	w.Roads = raster.NewBitGrid(w.Grid)
-	w.cellSegs = map[int32][]int32{}
+	buckets := map[int32][]int32{}
 	type edge struct{ a, b int }
 	seen := map[edge]bool{}
 	k := w.Cfg.RoadNeighbors
@@ -233,9 +237,20 @@ func (w *World) buildRoads() {
 			e := edge{min(i, j), max(i, j)}
 			if !seen[e] {
 				seen[e] = true
-				w.rasterizeSegment(w.Cities[i].XY, w.Cities[j].XY)
+				w.rasterizeSegment(buckets, w.Cities[i].XY, w.Cities[j].XY)
 			}
 		}
+	}
+	// Freeze the buckets into the dense index, keeping each cell's order.
+	n := 0
+	for _, list := range buckets {
+		n += len(list)
+	}
+	w.segStart = make([]int32, w.Grid.Cells()+1)
+	w.segList = make([]int32, 0, n)
+	for i := range w.Grid.Cells() {
+		w.segList = append(w.segList, buckets[int32(i)]...)
+		w.segStart[i+1] = int32(len(w.segList))
 	}
 	w.RoadDist = raster.DistanceTransform(w.Roads)
 }
@@ -244,7 +259,7 @@ func (w *World) buildRoads() {
 // uniform stepping at half-cell resolution), records the centerline, and
 // buckets the segment under every cell it touches plus their neighbors
 // for exact-distance queries.
-func (w *World) rasterizeSegment(a, b geom.Point) {
+func (w *World) rasterizeSegment(buckets map[int32][]int32, a, b geom.Point) {
 	segIdx := int32(len(w.roadSegs))
 	w.roadSegs = append(w.roadSegs, roadSegment{a: a, b: b})
 	d := b.Sub(a)
@@ -257,7 +272,7 @@ func (w *World) rasterizeSegment(a, b geom.Point) {
 			w.Roads.Set(cx, cy, true)
 			idx := int32(cy*w.Grid.NX + cx)
 			if idx != last {
-				w.bucketSegment(cx, cy, segIdx)
+				w.bucketSegment(buckets, cx, cy, segIdx)
 				last = idx
 			}
 		}
@@ -265,7 +280,7 @@ func (w *World) rasterizeSegment(a, b geom.Point) {
 }
 
 // bucketSegment registers seg under the 3x3 neighborhood of (cx, cy).
-func (w *World) bucketSegment(cx, cy int, seg int32) {
+func (w *World) bucketSegment(buckets map[int32][]int32, cx, cy int, seg int32) {
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			nx, ny := cx+dx, cy+dy
@@ -273,23 +288,54 @@ func (w *World) bucketSegment(cx, cy int, seg int32) {
 				continue
 			}
 			key := int32(ny*w.Grid.NX + nx)
-			list := w.cellSegs[key]
+			list := buckets[key]
 			if n := len(list); n > 0 && list[n-1] == seg {
 				continue
 			}
-			w.cellSegs[key] = append(list, seg)
+			buckets[key] = append(list, seg)
 		}
 	}
+}
+
+// cellSegs returns the indices of the road segments bucketed under
+// world cell i.
+func (w *World) cellSegs(i int) []int32 {
+	return w.segList[w.segStart[i]:w.segStart[i+1]]
+}
+
+// GridPoint is a projected point located on the world grid: the point
+// and the cell holding it. The state zone, urban field and road distance
+// all live on that grid, so a caller reading several of them at one
+// point locates it once (Locate) and reads each field by index. Only
+// Locate makes one, so a GridPoint is always on the grid.
+type GridPoint struct {
+	p      geom.Point
+	cx, cy int
+	i      int // cy*NX + cx
+}
+
+// Locate returns p's cell on the world grid, and false off the grid.
+func (w *World) Locate(p geom.Point) (GridPoint, bool) {
+	cx, cy, ok := w.Grid.CellOf(p)
+	if !ok {
+		return GridPoint{}, false
+	}
+	return GridPoint{p: p, cx: cx, cy: cy, i: cy*w.Grid.NX + cx}, true
 }
 
 // StateAt returns the geodata.States index of the state containing the
 // projected point, or -1 outside the CONUS.
 func (w *World) StateAt(p geom.Point) int {
-	v, ok := w.StateZone.Sample(p)
-	if !ok || v == 0 {
+	gp, ok := w.Locate(p)
+	if !ok {
 		return -1
 	}
-	return int(v) - 1
+	return w.StateOf(gp)
+}
+
+// StateOf is StateAt at a located point.
+func (w *World) StateOf(gp GridPoint) int {
+	return int(w.StateZone.Data[gp.i]) - 1
 }
 
 // Contains reports whether the projected point lies inside the CONUS
@@ -301,9 +347,15 @@ func (w *World) Contains(p geom.Point) bool {
 
 // UrbanAt returns the urban intensity at a projected point (0 off-grid).
 func (w *World) UrbanAt(p geom.Point) float64 {
-	v, _ := w.Urban.Sample(p)
-	return v
+	gp, ok := w.Locate(p)
+	if !ok {
+		return 0
+	}
+	return w.UrbanOf(gp)
 }
+
+// UrbanOf is UrbanAt at a located point.
+func (w *World) UrbanOf(gp GridPoint) float64 { return w.Urban.Data[gp.i] }
 
 // RoadDistAt returns the distance in meters to the nearest highway
 // centerline (+Inf off-grid). Near corridors the distance is exact
@@ -312,22 +364,24 @@ func (w *World) UrbanAt(p geom.Point) float64 {
 // distance-transform value is returned — accurate to within a cell, which
 // is all "far" callers need.
 func (w *World) RoadDistAt(p geom.Point) float64 {
-	v, ok := w.RoadDist.Sample(p)
+	gp, ok := w.Locate(p)
 	if !ok {
 		return math.Inf(1)
 	}
+	return w.RoadDistOf(gp)
+}
+
+// RoadDistOf is RoadDistAt at a located point.
+func (w *World) RoadDistOf(gp GridPoint) float64 {
+	v := w.RoadDist.Data[gp.i]
 	if v > 2.5*w.Grid.CellSize {
 		return v
 	}
-	cx, cy, ok := w.Grid.CellOf(p)
-	if !ok {
-		return v
-	}
+	p, cx, cy := gp.p, gp.cx, gp.cy
 	best := math.Inf(1)
 	// The 3x3 buckets around each road cell guarantee any point within
 	// ~1.5 cells of a centerline sees its segment here.
-	key := int32(cy*w.Grid.NX + cx)
-	for _, si := range w.cellSegs[key] {
+	for _, si := range w.cellSegs(gp.i) {
 		s := w.roadSegs[si]
 		if d := geom.DistancePointSegment(p, s.a, s.b); d < best {
 			best = d
@@ -338,11 +392,11 @@ func (w *World) RoadDistAt(p geom.Point) float64 {
 		// 5x5 neighborhood before falling back to the raster value.
 		for dy := -2; dy <= 2; dy++ {
 			for dx := -2; dx <= 2; dx++ {
-				key := int32((cy+dy)*w.Grid.NX + (cx + dx))
-				if cy+dy < 0 || cx+dx < 0 || cy+dy >= w.Grid.NY || cx+dx >= w.Grid.NX {
+				nx, ny := cx+dx, cy+dy
+				if nx < 0 || ny < 0 || nx >= w.Grid.NX || ny >= w.Grid.NY {
 					continue
 				}
-				for _, si := range w.cellSegs[key] {
+				for _, si := range w.cellSegs(ny*w.Grid.NX + nx) {
 					s := w.roadSegs[si]
 					if d := geom.DistancePointSegment(p, s.a, s.b); d < best {
 						best = d
@@ -373,7 +427,7 @@ func (w *World) NearestRoadPoint(p geom.Point) (geom.Point, bool) {
 			if nx < 0 || ny < 0 || nx >= w.Grid.NX || ny >= w.Grid.NY {
 				continue
 			}
-			for _, si := range w.cellSegs[int32(ny*w.Grid.NX+nx)] {
+			for _, si := range w.cellSegs(ny*w.Grid.NX + nx) {
 				s := w.roadSegs[si]
 				q := closestOnSegment(p, s.a, s.b)
 				if d := p.DistanceTo(q); d < best {

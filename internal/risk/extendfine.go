@@ -71,6 +71,7 @@ func (a *Analyzer) ExtendAndValidateFine(season *wildfire.Season, cellSize, dist
 		Thresholds:         a.WHP.Cfg.Thresholds,
 		NoiseScaleM:        a.WHP.Cfg.NoiseScaleM,
 		RoadBufferM:        400,
+		Workers:            a.WHP.Cfg.Workers,
 	})
 
 	res := &FineExtension{CellSize: cellSize, DistM: distM}

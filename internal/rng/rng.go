@@ -131,6 +131,12 @@ func (s *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-s.Float64())
 }
 
+// SkipExponential advances the stream past one Exponential draw without
+// computing the variate: Exponential consumes exactly one Uint64, so a
+// caller that would discard the draw keeps every later draw in place
+// and skips the division and the logarithm.
+func (s *Source) SkipExponential() { s.Uint64() }
+
 // Pareto returns a Pareto(xm, alpha) variate: xm * U^(-1/alpha). Heavy
 // tails for alpha <= 2; fire sizes in the HOT framework follow this family.
 func (s *Source) Pareto(xm, alpha float64) float64 {

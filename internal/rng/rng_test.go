@@ -146,6 +146,30 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
+// TestExponentialConsumesOneUint64 guards SkipExponential: the fire
+// simulator skips every Exponential draw it would discard, so a sampler
+// that consumed more or fewer bits (a ziggurat, a rejection loop) would
+// silently shift every draw after the first skip.
+func TestExponentialConsumesOneUint64(t *testing.T) {
+	for seed := uint64(1); seed <= 64; seed++ {
+		src := NewStream(seed, seed*31)
+		for i := 0; i < int(seed%5); i++ {
+			src.Uint32() // vary the phase of the two-Uint32 Uint64
+		}
+		drawn, raw, skipped := *src, *src, *src
+		for _, mean := range []float64{1e-9, 0.5, 1, 1e9} {
+			drawn.Exponential(mean)
+			raw.Uint64()
+			skipped.SkipExponential()
+		}
+		a, b, c := drawn.Uint64(), raw.Uint64(), skipped.Uint64()
+		if a != b || a != c {
+			t.Fatalf("seed %d: next draw after Exponential %#x, after Uint64 %#x, after SkipExponential %#x",
+				seed, a, b, c)
+		}
+	}
+}
+
 func TestParetoTail(t *testing.T) {
 	s := New(19)
 	n := 100000

@@ -93,6 +93,10 @@ type Config struct {
 	// NoiseScaleM is the wavelength in meters of the dominant hazard
 	// patchiness. Default 220 km.
 	NoiseScaleM float64
+	// Workers bounds the goroutines Build strides the rows over: 0
+	// selects GOMAXPROCS, 1 builds on the calling goroutine. The map is
+	// bit-identical at any setting.
+	Workers int
 }
 
 func (c Config) withDefaults(cell float64) Config {
@@ -124,8 +128,8 @@ type Map struct {
 }
 
 // Build computes the WHP over the given geometry (often w.Grid). Rows are
-// evaluated in parallel; the result is deterministic because every cell
-// is a pure function of the world fields.
+// strided over cfg.Workers goroutines; the result is deterministic
+// because every cell is a pure function of the world fields.
 func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
 	cfg = cfg.withDefaults(g.CellSize)
 	m := &Map{
@@ -134,26 +138,32 @@ func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
 		Hazard:  raster.NewFloatGrid(g),
 		world:   w,
 	}
-	workers := runtime.GOMAXPROCS(0)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > g.NY {
 		workers = g.NY
 	}
-	if workers < 1 {
-		workers = 1
+	rows := func(start, stride int) {
+		for cy := start; cy < g.NY; cy += stride {
+			for cx := 0; cx < g.NX; cx++ {
+				h, cls := m.evaluate(g.Center(cx, cy))
+				i := cy*g.NX + cx
+				m.Hazard.Data[i], m.Classes.Data[i] = h, uint8(cls)
+			}
+		}
+	}
+	if workers <= 1 {
+		rows(0, 1)
+		return m
 	}
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(start int) {
 			defer wg.Done()
-			for cy := start; cy < g.NY; cy += workers {
-				for cx := 0; cx < g.NX; cx++ {
-					p := g.Center(cx, cy)
-					h, cls := m.evaluate(p)
-					m.Hazard.Set(cx, cy, h)
-					m.Classes.Set(cx, cy, uint8(cls))
-				}
-			}
+			rows(start, workers)
 		}(wk)
 	}
 	wg.Wait()
@@ -161,18 +171,20 @@ func Build(w *conus.World, g raster.Geometry, cfg Config) *Map {
 }
 
 // evaluate computes the continuous hazard and class at a projected point
-// directly from the world fields (resolution-independent).
+// directly from the world fields (resolution-independent). The point is
+// located on the world grid once; every field is read by index.
 func (m *Map) evaluate(p geom.Point) (float64, Class) {
 	w := m.world
-	si := w.StateAt(p)
+	gp, ok := w.Locate(p)
+	if !ok {
+		return 0, Water
+	}
+	si := w.StateOf(gp)
 	if si < 0 {
 		return 0, Water
 	}
-	urban := w.UrbanAt(p)
-	if urban >= m.Cfg.UrbanCoreThreshold {
-		return 0, NonBurnable
-	}
-	if w.RoadDistAt(p) <= m.Cfg.RoadBufferM {
+	urban := w.UrbanOf(gp)
+	if urban >= m.Cfg.UrbanCoreThreshold || w.RoadDistOf(gp) <= m.Cfg.RoadBufferM {
 		return 0, NonBurnable
 	}
 	h := m.HazardValue(p, si, urban)
@@ -224,17 +236,13 @@ func classify(h float64, th [4]float64) Class {
 // is resolution-independent: it derives from the world fields, not from
 // the class raster.
 func (m *Map) FuelAt(p geom.Point) float64 {
-	w := m.world
-	si := w.StateAt(p)
-	if si < 0 {
+	h, c := m.evaluate(p)
+	switch {
+	case c == Water:
 		return 0
-	}
-	urban := w.UrbanAt(p)
-	if urban >= m.Cfg.UrbanCoreThreshold || w.RoadDistAt(p) <= m.Cfg.RoadBufferM {
+	case c == NonBurnable:
 		return 0.03
-	}
-	h := m.HazardValue(p, si, urban)
-	if h < 0.05 {
+	case h < 0.05:
 		return 0.05
 	}
 	return h

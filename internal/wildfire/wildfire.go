@@ -399,18 +399,9 @@ func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
 	}
 
 	h := sc.heap
-	push := func(cx, cy int, t float64) {
-		if cx < 0 || cy < 0 || cx >= g.NX || cy >= g.NY {
-			return
-		}
-		i := cy*g.NX + cx
-		if seen[i] {
-			return
-		}
-		seen[i] = true
-		h.push(frontierItem{idx: i, time: t})
-	}
-	push(cx0, cy0, 0)
+	i0 := cy0*g.NX + cx0
+	seen[i0] = true
+	h.push(frontierItem{idx: i0})
 
 	burned := raster.AcquireBitGrid(g)
 	defer raster.ReleaseBitGrid(burned)
@@ -439,13 +430,24 @@ func (s *Simulator) growFireWind(src *rng.Source, name string, year int,
 				if ncx < 0 || ncy < 0 || ncx >= g.NX || ncy >= g.NY {
 					continue
 				}
+				ni := ncy*g.NX + ncx
+				if seen[ni] {
+					// A seen cell is already on the frontier (or burned),
+					// so this race cannot move its ignition time. Its fuel
+					// is cached and positive, so the race's draw still
+					// happens: advance the stream past it without
+					// computing the discarded variate.
+					src.SkipExponential()
+					continue
+				}
 				nf := fuelAt(ncx, ncy)
 				if nf <= 0 {
 					continue
 				}
 				rate := nf * windFactor[dy+1][dx+1]
 				dt := src.Exponential(1/rate) * stepLen[dy+1][dx+1]
-				push(ncx, ncy, it.time+dt)
+				seen[ni] = true
+				h.push(frontierItem{idx: ni, time: it.time + dt})
 			}
 		}
 	}

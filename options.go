@@ -68,9 +68,10 @@ func WithPaperScale(seed uint64) Option {
 }
 
 // WithWorkers bounds the study's parallelism (Config.Workers): the
-// layer build, the historical seasons and the tiled raster kernels. 0
-// selects GOMAXPROCS, 1 runs the serial schedule. Results are
-// bit-identical at any setting.
+// layer build, the WHP rasters, the historical seasons and the
+// perimeter-union raster kernels (see Config.Workers for the two stages
+// that keep GOMAXPROCS). 0 selects GOMAXPROCS, 1 runs the serial
+// schedule. Results are bit-identical at any setting.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
